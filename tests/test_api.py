@@ -527,20 +527,62 @@ class TestEngineEquivalence:
             assert _rel_diff(direct.voltage(probe), via_api.waveform(probe)) <= 1e-12
 
 
+#: the (content_hash, topology_hash) of every golden job file.  These key
+#: the result store and the plan cache, so any drift in the spec codec
+#: silently orphans every cached result: the literals must never change.
+GOLDEN_JOB_HASHES = {
+    "fdtd1d_link": (
+        "d8bc51f85aaeb282df47dc9b04da1a42ecdf89479338185af5df8bf2ebfd3e83",
+        "4d8681a0e6dfd46ad94ecf3a426ecb5bce345819d39f1c9e7a32af13aad9a224",
+    ),
+    "linear_link": (
+        "3473f6aaf818c390d14b098f8534126db0821c66f78e4fe6ba4b5a66b0d376a4",
+        "ef964417d59a8f1e673c6fc695266925966ff0bd6ad9db4c510ebfc6a4343ed8",
+    ),
+    "montecarlo_sweep": (
+        "44c31ed3caef161a7770ce23d8e37459bf60a53843913797adb16228d4e75744",
+        "ef964417d59a8f1e673c6fc695266925966ff0bd6ad9db4c510ebfc6a4343ed8",
+    ),
+    "pattern_corner_sweep": (
+        "7cd5e1c8ab9de4953099f3c3b506049d1fef2e3b5cc8cb9f56a3e520a30e3927",
+        "4d8681a0e6dfd46ad94ecf3a426ecb5bce345819d39f1c9e7a32af13aad9a224",
+    ),
+    "pattern_corner_sweep_batched": (
+        "77ffa76ce7a9046f2f13285da313923af1acc90d9ae4f42e9cfb23153e47ef4c",
+        "4d8681a0e6dfd46ad94ecf3a426ecb5bce345819d39f1c9e7a32af13aad9a224",
+    ),
+    "rbf_link": (
+        "a9618f0e7d6a7390f4e3319f42ec06fc935c7dcb1fa0bca73c90184d47216e5a",
+        "ce580d556f150321b09d7c661620911de384759b049dc9bd993acdd66ac073f1",
+    ),
+    "sparse_ladder": (
+        "e0dc9b2380729de7880b3873c6badeb2246c0ec1c1273ac7c5ec9c2857c859c7",
+        "21423373307a9260afbdc30f49186acd3304dc6c7c51bc5b208f8f44a9da4431",
+    ),
+    "validation_line_3d": (
+        "186be89cdc54eb0da867bce55f106ea5ca87731e9a97ec09f6caed3ab5f8627e",
+        "d757a8231a0b21e310216b28c5e7de68ba8b142d0d36ec9b2841d2bf4d312148",
+    ),
+}
+
+
 class TestGoldenJobs:
     def test_all_job_files_validate(self):
-        paths = sorted(
-            os.path.join(JOBS_DIR, name)
-            for name in os.listdir(JOBS_DIR) if name.endswith(".json")
+        names = sorted(
+            name[: -len(".json")] for name in os.listdir(JOBS_DIR) if name.endswith(".json")
         )
-        assert len(paths) >= 4
+        assert names == sorted(GOLDEN_JOB_HASHES)
         kinds = set()
-        for path in paths:
+        for name in names:
+            path = os.path.join(JOBS_DIR, f"{name}.json")
             spec = load_spec(path)
             kinds.add(spec.kind)
-            # every stored job is in normalised form already
             with open(path) as handle:
-                assert spec.to_dict() == json.load(handle)
+                text = handle.read()
+            # every stored job is in normalised form already, byte for byte
+            assert spec.to_dict() == json.loads(text), name
+            assert spec.to_json() + "\n" == text, name
+            assert (spec.content_hash(), spec.topology_hash()) == GOLDEN_JOB_HASHES[name], name
         assert kinds == {"circuit", "fdtd1d", "fdtd3d", "sweep"}
 
     def test_linear_link_job_end_to_end(self):
