@@ -86,64 +86,6 @@ __all__ = [
     "run_file",
 ]
 
-#: backend-gated engine-option flags: spec-addressable always, runnable
-#: once a backend registers via ``engines.register_option_backend`` (both
-#: stock flags registered since PR 4).  ``hint`` names where the missing
-#: backend would come from, so a rejected job file is self-explanatory.
-_BACKED_OPTIONS = {
-    "sparse_mna": {
-        "summary": "sparse MNA assembly for large netlists",
-        "hint": "implemented by repro.perf.backends.SparseBackend and routed "
-                "by the circuit/sweep adapters (PR 4); a build rejecting it "
-                "predates that backend (scipy-less installs accept the flag "
-                "and degrade to the dense path with a RuntimeWarning)",
-    },
-    "batch_prepare": {
-        "summary": "cross-scenario batching of SeparableBlocks.prepare",
-        "hint": "implemented by repro.perf.rbf_fast.BatchedPrepare and routed "
-                "by the sweep adapter (PR 4); a build rejecting it predates "
-                "that backend",
-    },
-    "workers": {
-        "summary": "multi-process sweep sharding (corner-group-atomic shards "
-                   "over a process pool, deterministic bit-identical merge)",
-        "hint": "implemented by repro.sweep.shard.run_sharded and routed by "
-                "the sweep adapter (PR 8); a build rejecting it predates "
-                "that subsystem",
-    },
-    "shards": {
-        "summary": "explicit shard count of a sharded sweep",
-        "hint": "implemented by repro.sweep.shard.plan_shards and routed by "
-                "the sweep adapter (PR 8); a build rejecting it predates "
-                "that subsystem",
-    },
-    "warm_start": {
-        "summary": "topology-keyed assembly-plan warm starts",
-        "hint": "implemented by repro.perf.plan_store.PlanStore and routed "
-                "by the circuit/sweep adapters (PR 9); a build rejecting it "
-                "predates that subsystem",
-    },
-}
-
-
-def _check_backed_options(spec) -> None:
-    """Reject flags whose backend is not registered, with a useful message."""
-    from repro.api.engines import option_backend, supported_engine_options
-
-    for flag, meta in _BACKED_OPTIONS.items():
-        if not getattr(spec.engine, flag, False) or option_backend(flag) is not None:
-            continue
-        supported = supported_engine_options()
-        supported_text = (
-            "; ".join(f"engine.{name}: {backend}" for name, backend in supported.items())
-            or "none"
-        )
-        raise NotImplementedError(
-            f"engine.{flag} ({meta['summary']}) has no registered backend in "
-            f"this build — {meta['hint']}. Engine options with a registered "
-            f"backend: {supported_text}."
-        )
-
 
 def run(spec, *, models=None) -> Result:
     """Execute a simulation spec through its registered engine.
@@ -151,9 +93,7 @@ def run(spec, *, models=None) -> Result:
     This is the synchronous front door every consumer shares: the CLI
     (``python -m repro run``), the service daemon's workers
     (:mod:`repro.service`) and in-process callers all funnel through it,
-    so a job produces the same arithmetic however it arrives.  Engine
-    options needing an unregistered backend are rejected up front with a
-    ``NotImplementedError`` naming the missing backend (see
+    so a job produces the same arithmetic however it arrives (see
     ``docs/job-spec.md`` for every block and option).
 
     Parameters
@@ -185,7 +125,6 @@ def run(spec, *, models=None) -> Result:
     """
     if not isinstance(spec, SimulationSpec):
         spec = spec_from_dict(spec)
-    _check_backed_options(spec)
     engine = get_engine(spec.kind)
     if spec.engine.fast is not None:
         from repro import perf

@@ -305,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         # One-line taxonomy verdict: kind, step, scenario, residual.
         print(f"solver failure: {exc.failure.describe()}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, NotImplementedError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover

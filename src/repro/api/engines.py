@@ -35,9 +35,6 @@ __all__ = [
     "EngineInfo",
     "resolve_models",
     "build_sweep",
-    "register_option_backend",
-    "option_backend",
-    "supported_engine_options",
 ]
 
 
@@ -81,34 +78,6 @@ def get_engine(kind: str) -> EngineInfo:
 def list_engines() -> list[EngineInfo]:
     """Every registered engine, sorted by kind."""
     return [_REGISTRY[kind] for kind in sorted(_REGISTRY)]
-
-
-# ---------------------------------------------------------------------------
-# backend-gated engine options
-# ---------------------------------------------------------------------------
-#
-# Some EngineOptions flags describe optimisations that need a registered
-# backend (they started life as reserved ROADMAP items rejected at run
-# time).  Backends announce themselves here; ``repro.api.run`` refuses a
-# spec requesting a flag nobody registered — with an error that names the
-# implementing backend it is missing and the options that *are* available.
-
-_OPTION_BACKENDS: dict[str, str] = {}
-
-
-def register_option_backend(flag: str, backend: str) -> None:
-    """Mark an engine-option flag as implemented by the named backend."""
-    _OPTION_BACKENDS[flag] = backend
-
-
-def option_backend(flag: str) -> str | None:
-    """The backend registered for a flag, or ``None`` while it is reserved."""
-    return _OPTION_BACKENDS.get(flag)
-
-
-def supported_engine_options() -> dict[str, str]:
-    """Every backend-gated flag that has a registered implementation."""
-    return dict(sorted(_OPTION_BACKENDS.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -356,32 +325,3 @@ def _run_sweep(spec: SimulationSpec, models=None) -> Result:
         result = sweep.run()
     return Result.from_sweep_result(result, engine=engine_label, meta=meta)
 
-
-# The backend-gated flags the stock adapters above route (PR 4 closed the
-# two reserved ROADMAP items; see repro.api.run for the gate).
-register_option_backend(
-    "sparse_mna",
-    "repro.perf.backends.SparseBackend via TransientOptions(backend='sparse') "
-    "(circuit and sweep adapters, PR 4)",
-)
-register_option_backend(
-    "batch_prepare",
-    "repro.perf.rbf_fast.BatchedPrepare via CircuitSweep(batch_prepare=True) "
-    "(sweep adapter, PR 4)",
-)
-register_option_backend(
-    "workers",
-    "repro.sweep.shard.run_sharded — corner-group-atomic process-pool "
-    "sharding with deterministic merge (sweep adapter, PR 8)",
-)
-register_option_backend(
-    "shards",
-    "repro.sweep.shard.plan_shards — explicit shard count over the same "
-    "process-pool path as engine.workers (sweep adapter, PR 8)",
-)
-register_option_backend(
-    "warm_start",
-    "repro.perf.plan_store.PlanStore — topology-keyed assembly-plan cache "
-    "adopted via TransientOptions(plan_key=spec.topology_hash()) "
-    "(circuit and sweep adapters, PR 9)",
-)

@@ -29,10 +29,14 @@ spirit of versioned, normalised request contracts.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Mapping, Optional, Tuple
+import math
+import typing
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 __all__ = [
     "FORMAT_VERSION",
@@ -68,28 +72,31 @@ DEFAULT_DT = 5e-12
 
 
 # ---------------------------------------------------------------------------
-# strict-dict helpers
+# strict coercion and the field-driven codec
 # ---------------------------------------------------------------------------
 
 def _require_mapping(data: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(data, Mapping):
+    if not isinstance(data, collections.abc.Mapping):
         raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
     return data
 
 
-def _reject_unknown(data: Mapping[str, Any], allowed: set, where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(
-            f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}"
-        )
-
-
 def _as_float(value: Any, where: str) -> float:
-    """Strict numeric conversion: malformed values raise ValueError, not TypeError."""
+    """Strict numeric conversion: malformed values raise ValueError, not TypeError.
+
+    ``json.loads`` accepts ``NaN``, ``Infinity`` and integers beyond the
+    float range; no spec quantity is meaningful there, so they are
+    rejected too.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -104,20 +111,165 @@ def _as_str(value: Any, where: str) -> str:
     return value
 
 
-def _opt_str(value: Any, where: str) -> Optional[str]:
-    return None if value is None else _as_str(value, where)
-
-
-def _opt_float(value: Any, where: str) -> Optional[float]:
-    return None if value is None else _as_float(value, where)
-
-
-def _opt_bool(value: Any, where: str) -> Optional[bool]:
-    if value is None:
-        return None
+def _as_bool(value: Any, where: str) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"{where}: expected true/false/null, got {value!r}")
+        raise ValueError(f"{where}: expected true/false, got {value!r}")
     return value
+
+
+def _as_array(value: Any, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where}: expected a JSON array, got {type(value).__name__}")
+    return value
+
+
+_SCALAR_COERCERS = {float: _as_float, int: _as_int, str: _as_str, bool: _as_bool}
+
+
+def _codec(tp) -> tuple:
+    """The ``(coerce(value, where), encode(value))`` pair of a declared field type.
+
+    ``Optional``, ``Tuple[X, ...]`` and ``Mapping[str, X]`` compose the
+    codec of ``X``; a spec block decodes through its own ``from_dict``;
+    ``Any`` passes through unchanged.  Scalars encode as themselves
+    (``encode`` is ``None``).
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        coerce, encode = _codec(args[0])
+        return (
+            lambda v, where: None if v is None else coerce(v, where),
+            encode and (lambda v: None if v is None else encode(v)),
+        )
+    if origin is tuple:
+        coerce, encode = _codec(args[0])
+        encode = encode or (lambda x: x)
+        return (
+            lambda v, where: tuple(
+                coerce(x, f"{where}[{k}]") for k, x in enumerate(_as_array(v, where))
+            ),
+            lambda v: [encode(x) for x in v],
+        )
+    if origin is collections.abc.Mapping:
+        coerce, encode = _codec(args[1])
+        encode = encode or (lambda x: x)
+        return (
+            lambda v, where: {
+                str(k): coerce(x, f"{where}[{k!r}]")
+                for k, x in _require_mapping(v, where).items()
+            },
+            lambda v: {k: encode(x) for k, x in v.items()},
+        )
+    if isinstance(tp, type) and issubclass(tp, _Block):
+        return (
+            lambda v, where: v if isinstance(v, tp) else tp.from_dict(v, where),
+            lambda v: v.to_dict(),
+        )
+    return _SCALAR_COERCERS.get(tp, lambda v, where: v), None
+
+
+#: field metadata: leave the key out of ``to_dict`` while the value is
+#: unset (``None`` or empty), so adding an optional field never moves the
+#: content hash of a spec that does not use it
+_OMIT_UNSET = {"omit_unset": True}
+
+
+def _path(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+class _Field(typing.NamedTuple):
+    name: str
+    path: str  # error path on construction, e.g. "link.z0"
+    coerce: Callable[[Any, str], Any]
+    encode: Optional[Callable[[Any], Any]]  # None: the value is its own JSON
+    required: bool
+    omit_unset: bool
+
+
+@functools.cache
+def _fields(cls) -> Tuple[_Field, ...]:
+    """The codec of every field of a spec block, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        _Field(
+            f.name,
+            _path(cls._where, f.name),
+            *_codec(hints[f.name]),
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            f.metadata.get("omit_unset", False),
+        )
+        for f in dataclasses.fields(cls)
+    )
+
+
+@functools.cache
+def _keys(cls) -> frozenset:
+    """Every key ``from_dict`` accepts for a block."""
+    return frozenset(cls._header).union(field.name for field in _fields(cls))
+
+
+class _Block:
+    """Base of the spec dataclasses: one type-driven coercion and JSON codec.
+
+    Every field is coerced by the strict coercer its declared type selects,
+    on construction and on decoding alike, so the two paths accept exactly
+    the same values.  ``to_dict`` writes the fields in declaration order
+    and ``from_dict`` rejects unknown keys, applies the dataclass defaults
+    and names the offending path in every error.  Checks beyond the field
+    types live in each block's :meth:`_validate`.
+    """
+
+    #: error-path prefix of the block's fields (``"link"`` -> ``link.z0``)
+    _where = ""
+    #: constant keys written first by ``to_dict`` and required by ``from_dict``
+    _header: Mapping[str, Any] = {}
+
+    def __post_init__(self):
+        for field in _fields(type(self)):
+            object.__setattr__(self, field.name, field.coerce(getattr(self, field.name), field.path))
+        self._validate()
+
+    def _validate(self) -> None:
+        """Block-specific checks: ranges, enumerations, cross-field rules."""
+
+    def to_dict(self) -> dict:
+        """The strict JSON form of this block (``from_dict`` inverts it)."""
+        doc = dict(self._header)
+        for field in _fields(type(self)):
+            value = getattr(self, field.name)
+            if not (field.omit_unset and (value is None or value == ())):
+                doc[field.name] = value if field.encode is None else field.encode(value)
+        return doc
+
+    @classmethod
+    def from_dict(cls, data: Any, where: Optional[str] = None):
+        """Rebuild a block from its ``to_dict`` form (strict)."""
+        where = cls._where if where is None else where
+        label = where or "spec"
+        data = _require_mapping(data, label)
+        allowed = _keys(cls)
+        unknown = sorted(set(data) - allowed)
+        if unknown:
+            raise ValueError(f"{label}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+        for key, expected in cls._header.items():
+            if data.get(key) != expected:
+                raise ValueError(
+                    f"unsupported {label} {key} {data.get(key)!r} (this build reads {expected})"
+                )
+        kwargs = {}
+        for field in _fields(cls):
+            if field.name in data:
+                path = field.path if where == cls._where else _path(where, field.name)
+                kwargs[field.name] = field.coerce(data[field.name], path)
+            elif field.required:
+                raise ValueError(f"{label}: missing required key {field.name!r}")
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            if where == cls._where:  # the block's own checks already name it
+                raise
+            raise ValueError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +277,7 @@ def _opt_bool(value: Any, where: str) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class StimulusSpec:
+class StimulusSpec(_Block):
     """The logic stimulus driven into the link.
 
     Attributes
@@ -144,37 +296,27 @@ class StimulusSpec:
     bit_time: float = 2e-9
     edge_time: float = 1e-10
 
-    def __post_init__(self):
-        if not isinstance(self.bit_pattern, str) or not self.bit_pattern \
-                or set(self.bit_pattern) - {"0", "1"}:
+    _where = "stimulus"
+
+    def _validate(self):
+        if not self.bit_pattern or set(self.bit_pattern) - {"0", "1"}:
             raise ValueError(f"bit_pattern must be a non-empty 0/1 string, got {self.bit_pattern!r}")
-        object.__setattr__(self, "bit_time", _as_float(self.bit_time, "stimulus.bit_time"))
-        object.__setattr__(self, "edge_time", _as_float(self.edge_time, "stimulus.edge_time"))
         if self.bit_time <= 0 or self.edge_time <= 0:
             raise ValueError("bit_time and edge_time must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "bit_pattern": self.bit_pattern,
-            "bit_time": self.bit_time,
-            "edge_time": self.edge_time,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "stimulus") -> "StimulusSpec":
-        data = _require_mapping(data, where)
-        _reject_unknown(data, {"bit_pattern", "bit_time", "edge_time"}, where)
-        return cls(**{k: data[k] for k in ("bit_pattern", "bit_time", "edge_time") if k in data})
-
-
-def _device_param_fields() -> dict:
+@functools.cache
+def _device_param_coercers() -> dict:
     from repro.macromodel.library import ReferenceDeviceParameters
 
-    return {f.name: f.type for f in dataclasses.fields(ReferenceDeviceParameters)}
+    hints = typing.get_type_hints(ReferenceDeviceParameters)
+    return {
+        f.name: _codec(hints[f.name])[0] for f in dataclasses.fields(ReferenceDeviceParameters)
+    }
 
 
 @dataclasses.dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(_Block):
     """Where the driver/receiver macromodels of a job come from.
 
     Attributes
@@ -205,70 +347,40 @@ class DeviceSpec:
     source: str = "library"
     n_centers: Optional[int] = None
     seed: int = 0
-    params: Mapping[str, float] = dataclasses.field(default_factory=dict)
+    params: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     driver: Optional[Mapping[str, Any]] = None
     receiver: Optional[Mapping[str, Any]] = None
 
-    def __post_init__(self):
+    _where = "devices"
+
+    def _validate(self):
         if self.source not in ("library", "identified", "inline"):
             raise ValueError(
                 f"devices.source must be 'library', 'identified' or 'inline', got {self.source!r}"
             )
-        if self.n_centers is not None:
-            object.__setattr__(self, "n_centers", _as_int(self.n_centers, "devices.n_centers"))
-            if self.n_centers < 1:
-                raise ValueError("devices.n_centers must be positive")
-        object.__setattr__(self, "seed", _as_int(self.seed, "devices.seed"))
-        known = _device_param_fields()
-        params = {}
-        for key, value in dict(self.params).items():
+        if self.n_centers is not None and self.n_centers < 1:
+            raise ValueError("devices.n_centers must be positive")
+        # each override takes the type of its ReferenceDeviceParameters field
+        known = _device_param_coercers()
+        for key in self.params:
             if key not in known:
                 raise ValueError(
                     f"devices.params: unknown device parameter {key!r}; "
                     f"known: {sorted(known)}"
                 )
-            where = f"devices.params.{key}"
-            params[key] = (
-                _as_int(value, where) if key == "dynamic_order" else _as_float(value, where)
-            )
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", {
+            key: known[key](value, f"devices.params.{key}")
+            for key, value in self.params.items()
+        })
         if self.source == "inline":
             if self.driver is None and self.receiver is None:
                 raise ValueError("devices.source='inline' needs a driver and/or receiver model")
-            for label, model in (("driver", self.driver), ("receiver", self.receiver)):
-                if model is not None and not isinstance(model, Mapping):
-                    raise ValueError(f"devices.{label} must be a serialised macromodel object")
         elif self.driver is not None or self.receiver is not None:
             raise ValueError("embedded driver/receiver models require devices.source='inline'")
         if self.driver is not None:
             object.__setattr__(self, "driver", _freeze_json(self.driver, "devices.driver"))
         if self.receiver is not None:
             object.__setattr__(self, "receiver", _freeze_json(self.receiver, "devices.receiver"))
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "n_centers": self.n_centers,
-            "seed": self.seed,
-            "params": dict(self.params),
-            "driver": self.driver,
-            "receiver": self.receiver,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "devices") -> "DeviceSpec":
-        data = _require_mapping(data, where)
-        _reject_unknown(
-            data, {"source", "n_centers", "seed", "params", "driver", "receiver"}, where
-        )
-        return cls(
-            source=data.get("source", "library"),
-            n_centers=data.get("n_centers"),
-            seed=data.get("seed", 0),
-            params=_require_mapping(data.get("params", {}), f"{where}.params"),
-            driver=data.get("driver"),
-            receiver=data.get("receiver"),
-        )
 
 
 def _freeze_json(data: Any, where: str) -> Any:
@@ -280,7 +392,7 @@ def _freeze_json(data: Any, where: str) -> Any:
 
 
 @dataclasses.dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(_Block):
     """The driver → interconnect → load validation link.
 
     Mirrors :class:`repro.core.cosim.LinkDescription` (the stimulus and
@@ -300,44 +412,22 @@ class LinkSpec:
     source_resistance: float = 50.0
     segments: int = 0
 
-    def __post_init__(self):
+    _where = "link"
+
+    def _validate(self):
         if self.load not in ("rc", "receiver"):
             raise ValueError(f"link.load must be 'rc' or 'receiver', got {self.load!r}")
-        for name in ("z0", "delay", "load_resistance", "load_capacitance", "source_resistance"):
-            object.__setattr__(self, name, _as_float(getattr(self, name), f"link.{name}"))
         for name in ("z0", "delay", "load_resistance", "source_resistance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"link.{name} must be positive")
         if self.load_capacitance < 0:
             raise ValueError("link.load_capacitance must be non-negative")
-        object.__setattr__(self, "segments", _as_int(self.segments, "link.segments"))
         if self.segments < 0:
             raise ValueError("link.segments must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "z0": self.z0,
-            "delay": self.delay,
-            "load": self.load,
-            "load_resistance": self.load_resistance,
-            "load_capacitance": self.load_capacitance,
-            "source_resistance": self.source_resistance,
-            "segments": self.segments,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "link") -> "LinkSpec":
-        data = _require_mapping(data, where)
-        allowed = {
-            "z0", "delay", "load", "load_resistance", "load_capacitance",
-            "source_resistance", "segments",
-        }
-        _reject_unknown(data, allowed, where)
-        return cls(**dict(data))
-
 
 @dataclasses.dataclass(frozen=True)
-class StructureSpec:
+class StructureSpec(_Block):
     """The discretised 3-D structure of an ``fdtd3d`` job.
 
     Attributes
@@ -353,27 +443,19 @@ class StructureSpec:
     name: str = "validation_line"
     scale: float = 1.0
 
-    def __post_init__(self):
+    _where = "structure"
+
+    def _validate(self):
         if self.name != "validation_line":
             raise ValueError(
                 f"structure.name must be 'validation_line', got {self.name!r}"
             )
-        object.__setattr__(self, "scale", _as_float(self.scale, "structure.scale"))
         if not 0 < self.scale <= 1:
             raise ValueError("structure.scale must lie in (0, 1]")
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "scale": self.scale}
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "structure") -> "StructureSpec":
-        data = _require_mapping(data, where)
-        _reject_unknown(data, {"name", "scale"}, where)
-        return cls(name=data.get("name", "validation_line"), scale=data.get("scale", 1.0))
-
 
 @dataclasses.dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Block):
     """One scenario of a ``sweep`` job (mirrors :class:`repro.sweep.scenario.Scenario`)."""
 
     name: str
@@ -383,28 +465,17 @@ class ScenarioSpec:
     device: Optional[str] = None
     static_group: Optional[str] = None
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+    _where = "scenario"
+
+    def _validate(self):
+        if not self.name:
             raise ValueError(f"scenario name must be a non-empty string, got {self.name!r}")
         if self.bit_pattern is not None and (
-            not isinstance(self.bit_pattern, str) or not self.bit_pattern
-            or set(self.bit_pattern) - {"0", "1"}
+            not self.bit_pattern or set(self.bit_pattern) - {"0", "1"}
         ):
             raise ValueError(
                 f"scenario {self.name!r}: bit_pattern must be a 0/1 string or null"
             )
-        where = f"scenario {self.name!r}"
-        object.__setattr__(
-            self, "drive_strength", _as_float(self.drive_strength, f"{where}.drive_strength")
-        )
-        object.__setattr__(
-            self,
-            "corner",
-            {
-                str(k): _as_float(v, f"{where}.corner[{k!r}]")
-                for k, v in dict(self.corner).items()
-            },
-        )
 
     def to_scenario(self):
         """The runtime :class:`~repro.sweep.scenario.Scenario` of this block."""
@@ -419,35 +490,9 @@ class ScenarioSpec:
             static_group=self.static_group,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bit_pattern": self.bit_pattern,
-            "drive_strength": self.drive_strength,
-            "corner": dict(self.corner),
-            "device": self.device,
-            "static_group": self.static_group,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "scenario") -> "ScenarioSpec":
-        data = _require_mapping(data, where)
-        allowed = {"name", "bit_pattern", "drive_strength", "corner", "device", "static_group"}
-        _reject_unknown(data, allowed, where)
-        if "name" not in data:
-            raise ValueError(f"{where}: a scenario needs a name")
-        return cls(
-            name=data["name"],
-            bit_pattern=data.get("bit_pattern"),
-            drive_strength=data.get("drive_strength", 1.0),
-            corner=_require_mapping(data.get("corner", {}), f"{where}.corner"),
-            device=_opt_str(data.get("device"), f"{where}.device"),
-            static_group=_opt_str(data.get("static_group"), f"{where}.static_group"),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(_Block):
     """One sampled parameter distribution of a ``stats`` block.
 
     The distribution grammar of Monte Carlo statistical SI
@@ -476,29 +521,21 @@ class DistributionSpec:
     """
 
     kind: str
-    low: Optional[float] = None
-    high: Optional[float] = None
-    mean: Optional[float] = None
-    std: Optional[float] = None
-    values: Tuple[Any, ...] = ()
-    weights: Tuple[float, ...] = ()
-    bits: Optional[int] = None
+    low: Optional[float] = dataclasses.field(default=None, metadata=_OMIT_UNSET)
+    high: Optional[float] = dataclasses.field(default=None, metadata=_OMIT_UNSET)
+    mean: Optional[float] = dataclasses.field(default=None, metadata=_OMIT_UNSET)
+    std: Optional[float] = dataclasses.field(default=None, metadata=_OMIT_UNSET)
+    values: Tuple[Any, ...] = dataclasses.field(default=(), metadata=_OMIT_UNSET)
+    weights: Tuple[float, ...] = dataclasses.field(default=(), metadata=_OMIT_UNSET)
+    bits: Optional[int] = dataclasses.field(default=None, metadata=_OMIT_UNSET)
 
-    def __post_init__(self):
+    _where = "distribution"
+
+    def _validate(self):
         if self.kind not in DISTRIBUTION_KINDS:
             raise ValueError(
                 f"distribution kind must be one of {DISTRIBUTION_KINDS}, got {self.kind!r}"
             )
-        object.__setattr__(self, "low", _opt_float(self.low, "distribution.low"))
-        object.__setattr__(self, "high", _opt_float(self.high, "distribution.high"))
-        object.__setattr__(self, "mean", _opt_float(self.mean, "distribution.mean"))
-        object.__setattr__(self, "std", _opt_float(self.std, "distribution.std"))
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(
-            self,
-            "weights",
-            tuple(_as_float(w, "distribution.weights") for w in self.weights),
-        )
         if self.kind == "uniform":
             if self.low is None or self.high is None:
                 raise ValueError("uniform distribution needs low and high")
@@ -526,9 +563,9 @@ class DistributionSpec:
                 for v in self.values
             ]
             if all(numeric):
-                object.__setattr__(
-                    self, "values", tuple(float(v) for v in self.values)
-                )
+                object.__setattr__(self, "values", tuple(
+                    _as_float(v, f"distribution.values[{k}]") for k, v in enumerate(self.values)
+                ))
             elif not all(stringy):
                 raise ValueError(
                     "choice values must be all numbers or all 0/1 pattern strings, "
@@ -545,7 +582,6 @@ class DistributionSpec:
         else:  # pattern
             if self.bits is None:
                 raise ValueError("pattern distribution needs bits")
-            object.__setattr__(self, "bits", _as_int(self.bits, "distribution.bits"))
             if self.bits < 1:
                 raise ValueError("pattern distribution needs bits >= 1")
 
@@ -558,50 +594,6 @@ class DistributionSpec:
             return not self.values or isinstance(self.values[0], float)
         return True
 
-    def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.low is not None:
-            doc["low"] = self.low
-        if self.high is not None:
-            doc["high"] = self.high
-        if self.mean is not None:
-            doc["mean"] = self.mean
-        if self.std is not None:
-            doc["std"] = self.std
-        if self.values:
-            doc["values"] = list(self.values)
-        if self.weights:
-            doc["weights"] = list(self.weights)
-        if self.bits is not None:
-            doc["bits"] = self.bits
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "distribution") -> "DistributionSpec":
-        data = _require_mapping(data, where)
-        allowed = {"kind", "low", "high", "mean", "std", "values", "weights", "bits"}
-        _reject_unknown(data, allowed, where)
-        if "kind" not in data:
-            raise ValueError(f"{where}: a distribution needs a kind")
-        values = data.get("values", ())
-        weights = data.get("weights", ())
-        for name, seq in (("values", values), ("weights", weights)):
-            if not isinstance(seq, (list, tuple)):
-                raise ValueError(f"{where}.{name}: expected a JSON array")
-        try:
-            return cls(
-                kind=data["kind"],
-                low=data.get("low"),
-                high=data.get("high"),
-                mean=data.get("mean"),
-                std=data.get("std"),
-                values=tuple(values),
-                weights=tuple(weights),
-                bits=data.get("bits"),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-
 
 #: the scenario dimensions a stats distribution may target besides
 #: ``corner.<parameter>``
@@ -609,7 +601,7 @@ _STATS_DIRECT_TARGETS = ("bit_pattern", "drive_strength")
 
 
 @dataclasses.dataclass(frozen=True)
-class StatsSpec:
+class StatsSpec(_Block):
     """Monte Carlo statistical-exploration block of a ``sweep`` job.
 
     Instead of enumerating scenarios by hand, a ``stats`` block *samples*
@@ -673,18 +665,15 @@ class StatsSpec:
     refine_samples: int = 16
     refine_shrink: float = 0.5
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_int(self.samples, "stats.samples"))
+    _where = "stats"
+
+    def _validate(self):
         if self.samples < 1:
             raise ValueError("stats.samples must be at least 1")
-        object.__setattr__(self, "seed", _as_int(self.seed, "stats.seed"))
-        if not isinstance(self.distributions, Mapping) or not self.distributions:
+        if not self.distributions:
             raise ValueError("stats.distributions must be a non-empty object")
-        dists = {}
-        for target, dist in dict(self.distributions).items():
+        for target, dist in self.distributions.items():
             where = f"stats.distributions[{target!r}]"
-            if not isinstance(dist, DistributionSpec):
-                dist = DistributionSpec.from_dict(dist, where)
             if target == "bit_pattern":
                 if dist.is_numeric:
                     raise ValueError(
@@ -704,39 +693,22 @@ class StatsSpec:
                     f"stats.distributions: unknown target {target!r}; expected "
                     f"'corner.<parameter>' or one of {list(_STATS_DIRECT_TARGETS)}"
                 )
-            dists[str(target)] = dist
-        object.__setattr__(self, "distributions", dists)
-        if self.corner_groups is not None:
-            object.__setattr__(
-                self, "corner_groups", _as_int(self.corner_groups, "stats.corner_groups")
-            )
-            if self.corner_groups < 1:
-                raise ValueError("stats.corner_groups must be at least 1 (or null)")
-        if not isinstance(self.node, str) or not self.node:
+        # stored in target order, the order to_dict writes them in
+        object.__setattr__(self, "distributions", dict(sorted(self.distributions.items())))
+        if self.corner_groups is not None and self.corner_groups < 1:
+            raise ValueError("stats.corner_groups must be at least 1 (or null)")
+        if not self.node:
             raise ValueError(f"stats.node must be a non-empty string, got {self.node!r}")
-        object.__setattr__(self, "low", _as_float(self.low, "stats.low"))
-        object.__setattr__(self, "high", _as_float(self.high, "stats.high"))
         if not self.low < self.high:
             raise ValueError("stats logic thresholds need low < high")
-        object.__setattr__(self, "t_start", _as_float(self.t_start, "stats.t_start"))
         if self.t_start < 0:
             raise ValueError("stats.t_start must be non-negative")
-        object.__setattr__(self, "bins", _as_int(self.bins, "stats.bins"))
         if self.bins < 2:
             raise ValueError("stats.bins must be at least 2")
-        object.__setattr__(
-            self, "refine_rounds", _as_int(self.refine_rounds, "stats.refine_rounds")
-        )
         if self.refine_rounds < 0:
             raise ValueError("stats.refine_rounds must be non-negative")
-        object.__setattr__(
-            self, "refine_samples", _as_int(self.refine_samples, "stats.refine_samples")
-        )
         if self.refine_samples < 1:
             raise ValueError("stats.refine_samples must be at least 1")
-        object.__setattr__(
-            self, "refine_shrink", _as_float(self.refine_shrink, "stats.refine_shrink")
-        )
         if not 0 < self.refine_shrink <= 1:
             raise ValueError("stats.refine_shrink must lie in (0, 1]")
 
@@ -748,56 +720,9 @@ class StatsSpec:
             if target.startswith("corner.")
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "distributions": {
-                target: dist.to_dict()
-                for target, dist in sorted(self.distributions.items())
-            },
-            "corner_groups": self.corner_groups,
-            "node": self.node,
-            "low": self.low,
-            "high": self.high,
-            "t_start": self.t_start,
-            "bins": self.bins,
-            "refine_rounds": self.refine_rounds,
-            "refine_samples": self.refine_samples,
-            "refine_shrink": self.refine_shrink,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "stats") -> "StatsSpec":
-        data = _require_mapping(data, where)
-        allowed = {
-            "samples", "seed", "distributions", "corner_groups", "node", "low",
-            "high", "t_start", "bins", "refine_rounds", "refine_samples",
-            "refine_shrink",
-        }
-        _reject_unknown(data, allowed, where)
-        if "samples" not in data:
-            raise ValueError(f"{where}: a stats block needs a sample count")
-        return cls(
-            samples=data["samples"],
-            seed=data.get("seed", 0),
-            distributions=_require_mapping(
-                data.get("distributions", {}), f"{where}.distributions"
-            ),
-            corner_groups=data.get("corner_groups"),
-            node=data.get("node", "far"),
-            low=data.get("low", 0.0),
-            high=data.get("high", 1.8),
-            t_start=data.get("t_start", 0.0),
-            bins=data.get("bins", 20),
-            refine_rounds=data.get("refine_rounds", 0),
-            refine_samples=data.get("refine_samples", 16),
-            refine_shrink=data.get("refine_shrink", 0.5),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class EngineOptions:
+class EngineOptions(_Block):
     """Engine tuning knobs shared by every kind (irrelevant ones are ignored).
 
     Attributes
@@ -881,11 +806,11 @@ class EngineOptions:
     shards: Optional[int] = None
     warm_start: Optional[bool] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt", _opt_float(self.dt, "engine.dt"))
+    _where = "engine"
+
+    def _validate(self):
         if self.dt is not None and self.dt <= 0:
             raise ValueError("engine.dt must be positive (or null)")
-        object.__setattr__(self, "n_cells", _as_int(self.n_cells, "engine.n_cells"))
         if self.n_cells < 4:
             raise ValueError("engine.n_cells must be at least 4")
         if self.variant not in ("rbf", "transistor"):
@@ -896,13 +821,6 @@ class EngineOptions:
             raise ValueError(
                 f"engine.sweep_family must be 'linear' or 'rbf', got {self.sweep_family!r}"
             )
-        _opt_bool(self.fast, "engine.fast")
-        for flag in ("sparse_mna", "batch_prepare"):
-            if not isinstance(getattr(self, flag), bool):
-                raise ValueError(f"engine.{flag} must be true/false")
-        object.__setattr__(
-            self, "max_retries", _as_int(self.max_retries, "engine.max_retries")
-        )
         if self.max_retries < 0:
             raise ValueError("engine.max_retries must be non-negative")
         if self.on_nonconvergence not in ("raise", "warn", "ignore"):
@@ -912,52 +830,8 @@ class EngineOptions:
             )
         for name in ("workers", "shards"):
             value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _as_int(value, f"engine.{name}"))
-                if getattr(self, name) < 1:
-                    raise ValueError(
-                        f"engine.{name} must be at least 1 (or null), got {value}"
-                    )
-        _opt_bool(self.warm_start, "engine.warm_start")
-
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "fast": self.fast,
-            "n_cells": self.n_cells,
-            "variant": self.variant,
-            "sweep_family": self.sweep_family,
-            "sparse_mna": self.sparse_mna,
-            "batch_prepare": self.batch_prepare,
-            "max_retries": self.max_retries,
-            "on_nonconvergence": self.on_nonconvergence,
-            "workers": self.workers,
-            "shards": self.shards,
-            "warm_start": self.warm_start,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "engine") -> "EngineOptions":
-        data = _require_mapping(data, where)
-        allowed = {
-            "dt", "fast", "n_cells", "variant", "sweep_family", "sparse_mna", "batch_prepare",
-            "max_retries", "on_nonconvergence", "workers", "shards", "warm_start",
-        }
-        _reject_unknown(data, allowed, where)
-        return cls(
-            dt=data.get("dt"),
-            fast=data.get("fast"),
-            n_cells=data.get("n_cells", 100),
-            variant=data.get("variant", "rbf"),
-            sweep_family=data.get("sweep_family", "rbf"),
-            sparse_mna=data.get("sparse_mna", False),
-            batch_prepare=data.get("batch_prepare", False),
-            max_retries=data.get("max_retries", 0),
-            on_nonconvergence=data.get("on_nonconvergence", "raise"),
-            workers=data.get("workers"),
-            shards=data.get("shards"),
-            warm_start=data.get("warm_start"),
-        )
+            if value is not None and value < 1:
+                raise ValueError(f"engine.{name} must be at least 1 (or null), got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +839,7 @@ class EngineOptions:
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(_Block):
     """A complete, serialisable description of one simulation job.
 
     A spec is *data*: frozen, strictly validated at construction, exact
@@ -1001,6 +875,7 @@ class SimulationSpec:
     """
 
     kind: str
+    label: str = ""
     duration: float = 5e-9
     stimulus: StimulusSpec = dataclasses.field(default_factory=StimulusSpec)
     devices: DeviceSpec = dataclasses.field(default_factory=DeviceSpec)
@@ -1008,20 +883,17 @@ class SimulationSpec:
     structure: StructureSpec = dataclasses.field(default_factory=StructureSpec)
     scenarios: Tuple[ScenarioSpec, ...] = ()
     engine: EngineOptions = dataclasses.field(default_factory=EngineOptions)
-    stats: Optional[StatsSpec] = None
-    label: str = ""
+    # absent from to_dict when unset, so the content hashes (and cached
+    # results) of non-statistical jobs do not depend on the Monte Carlo layer
+    stats: Optional[StatsSpec] = dataclasses.field(default=None, metadata=_OMIT_UNSET)
 
-    def __post_init__(self):
+    _header = {"format_version": FORMAT_VERSION}
+
+    def _validate(self):
         if self.kind not in ENGINE_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {ENGINE_KINDS}")
-        object.__setattr__(self, "duration", _as_float(self.duration, "duration"))
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if not isinstance(self.label, str):
-            raise ValueError(f"label: expected a string, got {self.label!r}")
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        if self.stats is not None and not isinstance(self.stats, StatsSpec):
-            raise ValueError("stats must be a StatsSpec block (or null)")
         if self.kind == "sweep":
             if self.stats is not None:
                 if self.scenarios:
@@ -1061,29 +933,6 @@ class SimulationSpec:
             raise ValueError("the transistor-level variant does not use inline macromodels")
 
     # -- serialisation -----------------------------------------------------
-    def to_dict(self) -> dict:
-        """The strict JSON form of this spec (``spec_from_dict`` inverts it).
-
-        The ``stats`` key is present only when the block is set, so the
-        content hashes (and cached results) of pre-existing non-statistical
-        jobs are unchanged by the Monte Carlo layer.
-        """
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": self.kind,
-            "label": self.label,
-            "duration": self.duration,
-            "stimulus": self.stimulus.to_dict(),
-            "devices": self.devices.to_dict(),
-            "link": self.link.to_dict(),
-            "structure": self.structure.to_dict(),
-            "scenarios": [sc.to_dict() for sc in self.scenarios],
-            "engine": self.engine.to_dict(),
-        }
-        if self.stats is not None:
-            doc["stats"] = self.stats.to_dict()
-        return doc
-
     def to_json(self, indent: int | None = 2) -> str:
         """The spec as a JSON document (what a job file contains)."""
         return json.dumps(self.to_dict(), indent=indent)
@@ -1188,40 +1037,7 @@ class SimulationSpec:
 
 def spec_from_dict(data: Any) -> SimulationSpec:
     """Rebuild a :class:`SimulationSpec` from its ``to_dict`` form (strict)."""
-    data = _require_mapping(data, "spec")
-    allowed = {
-        "format_version", "kind", "label", "duration", "stimulus", "devices",
-        "link", "structure", "scenarios", "engine", "stats",
-    }
-    _reject_unknown(data, allowed, "spec")
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported spec format_version {version!r} (this build reads {FORMAT_VERSION})"
-        )
-    if "kind" not in data:
-        raise ValueError("spec: missing 'kind'")
-    scenarios_data = data.get("scenarios", [])
-    if not isinstance(scenarios_data, (list, tuple)):
-        raise ValueError("spec.scenarios: expected a JSON array")
-    return SimulationSpec(
-        kind=data["kind"],
-        duration=data.get("duration", 5e-9),
-        stimulus=StimulusSpec.from_dict(data.get("stimulus", {})),
-        devices=DeviceSpec.from_dict(data.get("devices", {})),
-        link=LinkSpec.from_dict(data.get("link", {})),
-        structure=StructureSpec.from_dict(data.get("structure", {})),
-        scenarios=tuple(
-            ScenarioSpec.from_dict(sc, where=f"scenarios[{k}]")
-            for k, sc in enumerate(scenarios_data)
-        ),
-        engine=EngineOptions.from_dict(data.get("engine", {})),
-        stats=(
-            StatsSpec.from_dict(data["stats"])
-            if data.get("stats") is not None else None
-        ),
-        label=data.get("label", ""),
-    )
+    return SimulationSpec.from_dict(data)
 
 
 def load_spec(path: str) -> SimulationSpec:

@@ -195,14 +195,13 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _get_engines(self) -> None:
-        from repro.api import list_engines
-        from repro.api.engines import supported_engine_options
+        from repro.api import EngineOptions, list_engines
 
         self._send_json(200, {
             "engines": [
                 {"kind": info.kind, "summary": info.summary} for info in list_engines()
             ],
-            "engine_options": supported_engine_options(),
+            "engine_options": EngineOptions().to_dict(),
         })
 
     def _get_jobs(self, query: dict) -> None:

@@ -181,6 +181,17 @@ class TestSpecRoundTrip:
             {"link": {"z0": [131.0]}},
             {"engine": {"n_cells": 50.5}},
             {"devices": {"seed": "zero"}},
+            # json.loads accepts NaN/Infinity; no spec quantity may be non-finite
+            {"duration": float("inf")},
+            {"link": {"z0": float("nan")}},
+            {"engine": {"dt": float("-inf")}},
+            {"stimulus": {"bit_time": 10**400}},
+            # a valid linear sweep but for its NaN scenario corner
+            {
+                "kind": "sweep",
+                "scenarios": [{"name": "a", "corner": {"z0": float("nan")}}],
+                "engine": {"sweep_family": "linear"},
+            },
         ],
     )
     def test_malformed_values_raise_value_error_not_type_error(self, mutation):
@@ -198,6 +209,16 @@ class TestSpecRoundTrip:
         data = _make_spec("sweep").to_dict()
         data["scenarios"][0]["corner"] = {"z0": "high"}
         with pytest.raises(ValueError, match="corner"):
+            spec_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["device", "static_group"])
+    def test_scenario_string_fields_checked_on_construction_and_decoding(self, field):
+        # the constructor and the decoder apply the same type check
+        with pytest.raises(ValueError, match=f"scenario.{field}: expected a string"):
+            ScenarioSpec(name="a", **{field: 3})
+        data = _make_spec("sweep").to_dict()
+        data["scenarios"][0][field] = 7
+        with pytest.raises(ValueError, match=rf"scenarios\[0\]\.{field}: expected a string"):
             spec_from_dict(data)
 
     def test_int_corner_values_normalised_to_float(self):
@@ -267,52 +288,6 @@ class TestRegistry:
             _REGISTRY.pop("circuit", None)
             importlib.reload(engines_mod)
         assert get_engine("circuit").summary != "test shadow"
-
-    def test_formerly_reserved_options_have_registered_backends(self):
-        # PR 4 closed the two reserved ROADMAP items: both flags are now
-        # spec-addressable AND runnable (tests/test_backends.py pins the
-        # equivalence; here we only check the registry wiring).
-        from repro.api.engines import option_backend, supported_engine_options
-
-        supported = supported_engine_options()
-        assert set(supported) == {
-            "sparse_mna", "batch_prepare", "workers", "shards", "warm_start",
-        }
-        assert "SparseBackend" in option_backend("sparse_mna")
-        assert "BatchedPrepare" in option_backend("batch_prepare")
-        assert "run_sharded" in option_backend("workers")
-        assert "plan_shards" in option_backend("shards")
-        assert "PlanStore" in option_backend("warm_start")
-        import dataclasses
-
-        spec = _make_spec("circuit")
-        for flag in ("sparse_mna", "batch_prepare"):
-            engine = dataclasses.replace(spec.engine, **{flag: True})
-            requested = dataclasses.replace(spec, engine=engine)
-            assert spec_from_dict(requested.to_dict()) == requested
-
-    def test_unregistered_backed_option_error_is_self_explanatory(self, monkeypatch):
-        # A build whose backend did not register (e.g. a future reserved
-        # flag) must explain itself: the flag, the backend that would
-        # implement it, and the options that ARE supported.
-        import dataclasses
-
-        import repro.api.engines as engines_mod
-
-        monkeypatch.setitem(engines_mod._OPTION_BACKENDS, "sparse_mna", None)
-        monkeypatch.delitem(engines_mod._OPTION_BACKENDS, "sparse_mna")
-        spec = _make_spec("circuit")
-        engine = dataclasses.replace(spec.engine, sparse_mna=True)
-        requested = dataclasses.replace(spec, engine=engine)
-        with pytest.raises(NotImplementedError) as excinfo:
-            run(requested)
-        message = str(excinfo.value)
-        assert "engine.sparse_mna" in message
-        # the hint names the implementing backend...
-        assert "SparseBackend" in message
-        # ...and the full set of still-supported options is listed.
-        assert "engine.batch_prepare" in message
-        assert "BatchedPrepare" in message
 
 
 class TestResultContainer:

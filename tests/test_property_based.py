@@ -3,16 +3,33 @@
 These exercise the paper's analytic claims and the numerical kernels over
 randomly drawn inputs: the stability circle of the resampling map, the
 structure of the state-update matrix ``Q``, the analytic RBF gradients, the
-regressor construction, the waveform utilities, and the element-bank layer
+regressor construction, the waveform utilities, the element-bank layer
 (random topologies and random element-to-bank partitions must assemble the
-same MNA system as the scalar path).
+same MNA system as the scalar path), and the job-spec contract (exact JSON
+round trip, key-order-independent content hash, stimulus-invariant
+topology hash).
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import (
+    DeviceSpec,
+    DistributionSpec,
+    EngineOptions,
+    LinkSpec,
+    ScenarioSpec,
+    SimulationSpec,
+    StatsSpec,
+    StimulusSpec,
+    StructureSpec,
+    spec_from_dict,
+)
 from repro.circuits.elements import (
     Capacitor,
     CapacitorBank,
@@ -374,3 +391,237 @@ class TestWaveformProperties:
         pulse = TrapezoidalPulse(low=0.0, high=1.0, t_start=0.0, rise_time=rise, width=1e-9, fall_time=rise)
         val = float(pulse(t_eval))
         assert -1e-12 <= val <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# job-spec contract
+# ---------------------------------------------------------------------------
+
+def _finite(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+_patterns = st.text(alphabet="01", min_size=1, max_size=8)
+_optional_names = st.none() | st.text(alphabet="abcxyz-_", min_size=1, max_size=5)
+
+
+@st.composite
+def _stimuli(draw):
+    return StimulusSpec(
+        bit_pattern=draw(_patterns),
+        bit_time=draw(_finite(1e-10, 1e-8)),
+        edge_time=draw(_finite(1e-12, 1e-9)),
+    )
+
+
+@st.composite
+def _devices(draw, allow_inline=True):
+    source = draw(st.sampled_from(["library", "identified", "inline"] if allow_inline
+                                  else ["library", "identified"]))
+    params = draw(st.fixed_dictionaries({}, optional={
+        "vdd": _finite(1.0, 3.3),
+        "c_out": _finite(1e-13, 1e-11),
+        "dynamic_order": st.integers(1, 4),
+    }))
+    blob = {"kind": "driver", "centers": [[0.5, 1.0]], "ts": 1e-11}
+    return DeviceSpec(
+        source=source,
+        n_centers=draw(st.none() | st.integers(1, 60)),
+        seed=draw(st.integers(0, 100)),
+        params=params,
+        driver=blob if source == "inline" else None,
+        receiver=draw(st.none() | st.just({"kind": "receiver"})) if source == "inline" else None,
+    )
+
+
+@st.composite
+def _links(draw, load):
+    return LinkSpec(
+        z0=draw(_finite(20.0, 200.0)),
+        delay=draw(_finite(1e-11, 1e-9)),
+        load=load,
+        load_resistance=draw(_finite(1.0, 1e4)),
+        load_capacitance=draw(_finite(0.0, 1e-11)),
+        source_resistance=draw(_finite(1.0, 200.0)),
+        segments=draw(st.integers(0, 8)),
+    )
+
+
+@st.composite
+def _engines(draw, sweep_family):
+    return EngineOptions(
+        dt=draw(st.none() | _finite(1e-13, 1e-10)),
+        fast=draw(st.none() | st.booleans()),
+        n_cells=draw(st.integers(4, 200)),
+        variant=draw(st.sampled_from(["rbf", "transistor"])),
+        sweep_family=sweep_family,
+        sparse_mna=draw(st.booleans()),
+        batch_prepare=draw(st.booleans()),
+        max_retries=draw(st.integers(0, 3)),
+        on_nonconvergence=draw(st.sampled_from(["raise", "warn", "ignore"])),
+        workers=draw(st.none() | st.integers(1, 4)),
+        shards=draw(st.none() | st.integers(1, 4)),
+        warm_start=draw(st.none() | st.booleans()),
+    )
+
+
+@st.composite
+def _numeric_distributions(draw):
+    kind = draw(st.sampled_from(["uniform", "normal", "choice"]))
+    low = draw(_finite(-1e3, 1e3))
+    high = low + draw(_finite(1e-3, 1e3))
+    if kind == "uniform":
+        return DistributionSpec(kind="uniform", low=low, high=high)
+    if kind == "normal":
+        clipped = draw(st.booleans())
+        return DistributionSpec(
+            kind="normal", mean=draw(_finite(-1e3, 1e3)), std=draw(_finite(1e-3, 1e2)),
+            low=low if clipped else None, high=high if clipped else None,
+        )
+    values = draw(st.lists(_finite(-1e3, 1e3), min_size=1, max_size=4))
+    weights = draw(st.lists(_finite(0.1, 10.0), min_size=len(values), max_size=len(values))
+                   | st.just([]))
+    return DistributionSpec(kind="choice", values=tuple(values), weights=tuple(weights))
+
+
+_pattern_distributions = st.one_of(
+    st.integers(1, 8).map(lambda bits: DistributionSpec(kind="pattern", bits=bits)),
+    st.lists(_patterns, min_size=1, max_size=4).map(
+        lambda values: DistributionSpec(kind="choice", values=tuple(values))),
+)
+
+
+@st.composite
+def _stats(draw, sweep_family):
+    targets = {
+        "corner.z0": _numeric_distributions(),
+        "corner.load_resistance": _numeric_distributions(),
+        "bit_pattern": _pattern_distributions,
+    }
+    if sweep_family == "linear":
+        targets["drive_strength"] = _numeric_distributions()
+    chosen = draw(st.lists(st.sampled_from(sorted(targets)), min_size=1, unique=True))
+    low = draw(_finite(-1.0, 1.0))
+    return StatsSpec(
+        samples=draw(st.integers(1, 64)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+        distributions={target: draw(targets[target]) for target in chosen},
+        corner_groups=draw(st.none() | st.integers(1, 8)),
+        node=draw(st.sampled_from(["far", "near"])),
+        low=low,
+        high=low + draw(_finite(0.1, 3.0)),
+        t_start=draw(_finite(0.0, 1e-8)),
+        bins=draw(st.integers(2, 30)),
+        refine_rounds=draw(st.integers(0, 3)),
+        refine_samples=draw(st.integers(1, 16)),
+        refine_shrink=draw(_finite(0.01, 1.0)),
+    )
+
+
+@st.composite
+def _scenarios(draw, sweep_family):
+    names = draw(st.lists(st.text(alphabet="ab01/", min_size=1, max_size=6),
+                          min_size=1, max_size=4, unique=True))
+    return tuple(
+        ScenarioSpec(
+            name=name,
+            bit_pattern=draw(st.none() | _patterns),
+            drive_strength=1.0 if sweep_family == "rbf" else draw(_finite(0.5, 1.5)),
+            corner=draw(st.dictionaries(
+                st.sampled_from(["z0", "delay", "load_resistance"]), _finite(1e-3, 1e3),
+                max_size=2)),
+            device=draw(_optional_names),
+            static_group=draw(_optional_names),
+        )
+        for name in names
+    )
+
+
+@st.composite
+def _sweep_parts(draw, sweep_family):
+    """The stimulus-side blocks: free to vary without touching the topology."""
+    sampled = draw(st.booleans())
+    return dict(
+        label=draw(st.text(max_size=12)),
+        duration=draw(_finite(1e-10, 1e-7)),
+        stimulus=draw(_stimuli()),
+        scenarios=() if sampled else draw(_scenarios(sweep_family)),
+        stats=draw(_stats(sweep_family)) if sampled else None,
+    )
+
+
+@st.composite
+def _specs(draw, kind, sweep_family=None):
+    """A valid spec of ``kind`` (sweeps of ``sweep_family`` when given)."""
+    family = sweep_family or draw(st.sampled_from(["linear", "rbf"]))
+    engine = draw(_engines(family))
+    inline_ok = not (kind == "circuit" and engine.variant == "transistor")
+    load = "rc" if kind == "sweep" and family == "linear" else draw(
+        st.sampled_from(["rc", "receiver"]))
+    parts = draw(_sweep_parts(family))
+    if kind != "sweep":
+        parts.update(scenarios=(), stats=None)
+    return SimulationSpec(
+        kind=kind,
+        devices=draw(_devices(allow_inline=inline_ok)),
+        link=draw(_links(load)),
+        structure=StructureSpec(scale=draw(_finite(0.01, 1.0))),
+        engine=engine,
+        **parts,
+    )
+
+
+_kinds = st.sampled_from(["circuit", "fdtd1d", "fdtd3d", "sweep"])
+
+
+def _shuffled(value, rng):
+    """``value`` with the keys of every JSON object in random order."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        return {key: _shuffled(value[key], rng) for key in keys}
+    if isinstance(value, list):
+        return [_shuffled(item, rng) for item in value]
+    return value
+
+
+class TestSpecProperties:
+    @given(data=st.data(), kind=_kinds)
+    @settings(max_examples=60, deadline=None)
+    def test_spec_json_round_trip(self, data, kind):
+        spec = data.draw(_specs(kind))
+        rebuilt = spec_from_dict(json.loads(spec.to_json()))
+        assert rebuilt == spec
+        assert rebuilt.to_json() == spec.to_json()
+
+    @given(data=st.data(), kind=_kinds, rng=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_spec_content_hash_ignores_key_order(self, data, kind, rng):
+        spec = data.draw(_specs(kind))
+        shuffled = _shuffled(json.loads(spec.to_json()), rng)
+        rebuilt = spec_from_dict(shuffled)
+        assert rebuilt == spec
+        assert rebuilt.content_hash() == spec.content_hash()
+        if rebuilt.stats is not None:
+            # sampling targets serialise in one order, whatever the input order
+            assert list(rebuilt.stats.distributions) == sorted(rebuilt.stats.distributions)
+
+    @given(data=st.data(), kind=_kinds)
+    @settings(max_examples=40, deadline=None)
+    def test_spec_topology_hash_ignores_stimulus_and_scheduling(self, data, kind):
+        spec = data.draw(_specs(kind))
+        other = data.draw(_specs(kind, sweep_family=spec.engine.sweep_family))
+        neutral = {
+            key: getattr(other.engine, key)
+            for key in SimulationSpec._TOPOLOGY_NEUTRAL_ENGINE_KEYS
+        }
+        varied = dataclasses.replace(
+            spec,
+            label=other.label,
+            duration=other.duration,
+            stimulus=other.stimulus,
+            scenarios=other.scenarios,
+            stats=other.stats,
+            engine=dataclasses.replace(spec.engine, **neutral),
+        )
+        assert varied.topology_hash() == spec.topology_hash()

@@ -11,6 +11,7 @@ restarts.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import urllib.error
@@ -116,12 +117,34 @@ def test_healthz_and_engines(server):
     assert "batch_prepare" in engines["engine_options"]
 
 
+def test_engines_lists_every_engine_option_with_its_default(server):
+    from repro.api import EngineOptions
+
+    status, engines = _get(server, "/engines")
+    assert status == 200
+    assert engines["engine_options"] == EngineOptions().to_dict()
+    assert list(engines["engine_options"]) == [
+        field.name for field in dataclasses.fields(EngineOptions)
+    ]
+
+
 def test_invalid_requests(server):
     # malformed spec -> 400 with the validation message, no job created
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(server, "/jobs", {"format_version": 1, "kind": "warp-drive"})
     assert err.value.code == 400
     assert "invalid spec" in json.loads(err.value.read())["error"]
+
+    # a non-finite number (json accepts the `Infinity` literal) -> 400, not a failed job
+    request = urllib.request.Request(
+        server.url.rstrip("/") + "/jobs",
+        data=b'{"format_version": 1, "kind": "fdtd1d", "duration": Infinity}',
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request, timeout=30)
+    assert err.value.code == 400
+    assert "duration" in json.loads(err.value.read())["error"]
 
     # non-JSON body -> 400
     request = urllib.request.Request(
