@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
+from repro.api.models import cached_models
 from repro.api.result import Result
 from repro.api.spec import DEFAULT_DT, SimulationSpec
 
@@ -85,52 +86,12 @@ def list_engines() -> list[EngineInfo]:
 # ---------------------------------------------------------------------------
 
 def resolve_models(spec: SimulationSpec):
-    """Build the :class:`ReferenceMacromodels` a spec's devices block asks for."""
-    from repro.experiments.devices import (
-        ReferenceMacromodels,
-        identified_reference_macromodels,
-    )
-    from repro.macromodel.library import (
-        ReferenceDeviceParameters,
-        make_reference_driver_macromodel,
-        make_reference_receiver_macromodel,
-    )
-    from repro.macromodel.serialization import macromodel_from_dict
+    """The :class:`ReferenceMacromodels` a spec's devices block asks for.
 
-    devices = spec.devices
-    params = dataclasses.replace(ReferenceDeviceParameters(), **dict(devices.params))
-    if devices.source == "identified":
-        n_centers = devices.n_centers if devices.n_centers is not None else 150
-        return identified_reference_macromodels(
-            params, n_centers=n_centers, seed=devices.seed, use_identification=True
-        )
-    if devices.source == "inline":
-        driver = macromodel_from_dict(dict(devices.driver)) if devices.driver else None
-        receiver = macromodel_from_dict(dict(devices.receiver)) if devices.receiver else None
-        if driver is None:
-            driver = make_reference_driver_macromodel(params, seed=devices.seed)
-        if receiver is None:
-            receiver = make_reference_receiver_macromodel(params, seed=devices.seed + 10)
-        return ReferenceMacromodels(
-            driver=driver, receiver=receiver, params=params, source="inline"
-        )
-    # library source: the analytic reference models.  With n_centers unset,
-    # each constructor keeps its own default (150 driver / 80 receiver); an
-    # explicit count pins the driver and gives the receiver half (min 30),
-    # mirroring the identified workflow's convention.
-    kwargs_d = {} if devices.n_centers is None else {"n_centers": devices.n_centers}
-    kwargs_r = (
-        {} if devices.n_centers is None
-        else {"n_centers": max(devices.n_centers // 2, 30)}
-    )
-    return ReferenceMacromodels(
-        driver=make_reference_driver_macromodel(params, seed=devices.seed, **kwargs_d),
-        receiver=make_reference_receiver_macromodel(
-            params, seed=devices.seed + 10, **kwargs_r
-        ),
-        params=params,
-        source="library",
-    )
+    Served by the content-keyed model cache of :mod:`repro.api.models`: a
+    ``devices`` block is fitted at most once per machine.
+    """
+    return cached_models(spec.devices)
 
 
 def _link_description(spec: SimulationSpec):

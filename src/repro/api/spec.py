@@ -325,10 +325,12 @@ class DeviceSpec(_Block):
         ``"library"`` — the fast analytic reference models
         (:func:`repro.macromodel.library.make_reference_driver_macromodel`);
         ``"identified"`` — the full identification workflow from the
-        transistor-level devices (disk-cached);
+        transistor-level devices;
         ``"inline"`` — models embedded in the spec itself using the JSON
         schema of :mod:`repro.macromodel.serialization` (the fully
-        self-contained, worker-shippable form).
+        self-contained, worker-shippable form).  Every source is fitted
+        once per machine and then served by the model cache of
+        :mod:`repro.api.models`, keyed by this block's content.
     n_centers:
         Gaussian centre count for library/identified sources; ``None``
         keeps each source's own defaults.  An explicit count pins the

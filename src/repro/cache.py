@@ -32,6 +32,7 @@ from typing import Any
 
 __all__ = [
     "CACHE_DOC_FORMAT",
+    "disk_enabled",
     "checksum",
     "atomic_write_json",
     "read_json",
@@ -40,6 +41,16 @@ __all__ = [
 
 #: bump when the wrapping document schema changes incompatibly
 CACHE_DOC_FORMAT = 1
+
+
+def disk_enabled() -> bool:
+    """Whether disk caches may read and write (``REPRO_DISK_CACHE``).
+
+    ``0``/``false``/``off`` switches every disk cache of the package off;
+    unset or anything else leaves them on.  Read on each call, so a test
+    or a daemon sees changes to the environment.
+    """
+    return os.environ.get("REPRO_DISK_CACHE", "1").strip().lower() not in ("0", "false", "off")
 
 
 def checksum(payload: Any) -> str:

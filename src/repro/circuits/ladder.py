@@ -46,6 +46,7 @@ __all__ = [
     "CapacitorBank",
     "add_lc_ladder",
     "add_link_interconnect",
+    "link_interconnect_nodes",
     "rc_ladder_circuit",
     "rc_grid_circuit",
 ]
@@ -128,6 +129,16 @@ def add_link_interconnect(
                 "tl", near, GROUND, far, GROUND, z0, delay, v_initial=v_initial
             )
         )
+
+
+def link_interconnect_nodes(near: str, far: str, segments: int) -> list[str]:
+    """Every node of :func:`add_link_interconnect`'s interconnect, near to far.
+
+    The ladder's internal nodes (``segments > 0``) sit between the two
+    ends; the link testbenches seed their initial Newton guess at these
+    nodes with the line's initial voltage.
+    """
+    return [near] + [f"tl_n{k}" for k in range(1, segments)] + [far]
 
 
 def rc_ladder_circuit(

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.circuits.devices import add_cmos_driver, add_cmos_receiver
 from repro.circuits.elements import Capacitor, Resistor, VoltageSource
-from repro.circuits.ladder import add_link_interconnect
+from repro.circuits.ladder import add_link_interconnect, link_interconnect_nodes
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.rbf_element import MacromodelElement
 from repro.circuits.transient import TransientOptions, TransientSolver
@@ -51,17 +51,23 @@ def _add_far_end_load(
     dt: float,
     transistor_level: bool,
     params: ReferenceDeviceParameters,
+    v0: float = 0.0,
 ) -> None:
-    """Attach the far-end load requested by the link description."""
+    """Attach the far-end load requested by the link description.
+
+    ``v0`` pre-charges the load capacitor and fills a receiver
+    macromodel's regressor history, so a link that starts high starts in
+    (or next to) its steady state.
+    """
     if link.load == "rc":
         circuit.add(Resistor("rload", far_node, GROUND, link.load_resistance))
-        circuit.add(Capacitor("cload", far_node, GROUND, link.load_capacitance))
+        circuit.add(Capacitor("cload", far_node, GROUND, link.load_capacitance, v0=v0))
     elif transistor_level:
         add_cmos_receiver(circuit, "rx", far_node, params)
     else:
         if receiver_model is None:
             raise ValueError("a receiver macromodel is required for load='receiver'")
-        circuit.add(MacromodelElement("rx", far_node, GROUND, receiver_model, dt))
+        circuit.add(MacromodelElement("rx", far_node, GROUND, receiver_model, dt, v0=v0))
 
 
 def _add_interconnect(
@@ -166,10 +172,18 @@ def run_link_rbf(
     circuit = Circuit("link-rbf")
     circuit.add(MacromodelElement("drv", "near", GROUND, bound_driver, dt, v0=v0))
     _add_interconnect(circuit, link, "near", "far", v_initial=v0)
-    _add_far_end_load(circuit, link, "far", receiver_model, dt, False, params)
+    _add_far_end_load(circuit, link, "far", receiver_model, dt, False, params, v0=v0)
 
     solver = TransientSolver(circuit, dt, options=options)
-    result = solver.run(link.duration, record_nodes=["near", "far"])
+    # Newton starts where the line and the driver's history start: a
+    # high-start pattern (v0 = vdd) would otherwise begin from 0 V.
+    result = solver.run(
+        link.duration,
+        record_nodes=["near", "far"],
+        initial_voltages=dict.fromkeys(
+            link_interconnect_nodes("near", "far", link.segments), v0
+        ),
+    )
     return _link_result(
         result.times,
         result.voltage("near"),

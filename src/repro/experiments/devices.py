@@ -15,20 +15,17 @@ workflow end-to-end with the substitute devices of
    beyond the rails → the two protection submodels (fitted to the residual
    left by the linear part).
 
-Identification costs a few seconds of circuit simulation, so the result is
-cached per parameter set within the process.
+Identification costs a few seconds of circuit simulation, so its result
+goes through the one model cache of :mod:`repro.api.models` (in-process
+memo and disk entry), like every other ``devices.source``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
 
 import numpy as np
 
-from repro import cache
 from repro.circuits.testbenches import (
     multilevel_excitation,
     record_fixed_state,
@@ -42,18 +39,12 @@ from repro.macromodel.identification import (
     fit_linear_submodel,
     fit_rbf_submodel,
 )
-from repro.macromodel.library import (
-    ReferenceDeviceParameters,
-    make_reference_driver_macromodel,
-    make_reference_receiver_macromodel,
-)
+from repro.macromodel.library import ReferenceDeviceParameters
 from repro.macromodel.receiver import ReceiverMacromodel
-from repro.macromodel.serialization import macromodel_from_dict, macromodel_to_dict
 
 __all__ = [
     "ReferenceMacromodels",
     "identified_reference_macromodels",
-    "identification_cache_path",
 ]
 
 
@@ -65,85 +56,6 @@ class ReferenceMacromodels:
     receiver: ReceiverMacromodel
     params: ReferenceDeviceParameters
     source: str = "identified"
-
-
-_CACHE: dict[tuple, ReferenceMacromodels] = {}
-
-#: bump when the identification procedure changes in a result-affecting way
-_DISK_CACHE_FORMAT = 1
-
-
-def identification_cache_path(
-    params: ReferenceDeviceParameters, n_centers: int, seed: int
-) -> str | None:
-    """Disk-cache file for one identification run, or ``None`` if disabled.
-
-    The cache key hashes every identification parameter, so any change to
-    the device technology, centre count or seed produces a fresh entry.  The
-    cache lives under ``.cache/macromodels`` (override the root with
-    ``REPRO_CACHE_DIR``; set ``REPRO_DISK_CACHE=0`` to disable caching).
-    """
-    if os.environ.get("REPRO_DISK_CACHE", "1").strip().lower() in ("0", "false", "off"):
-        return None
-    root = os.environ.get("REPRO_CACHE_DIR", ".cache")
-    payload = json.dumps(
-        {
-            "format": _DISK_CACHE_FORMAT,
-            "params": dataclasses.asdict(params),
-            "n_centers": n_centers,
-            "seed": seed,
-        },
-        sort_keys=True,
-    )
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
-    return os.path.join(root, "macromodels", f"identified_{digest}.json")
-
-
-def _load_identified_from_disk(
-    path: str, params: ReferenceDeviceParameters
-) -> ReferenceMacromodels | None:
-    """Rebuild a cached identification result; ``None`` on any failure.
-
-    The entry is a checksum-wrapped :mod:`repro.cache` document (legacy
-    pre-checksum entries still load), so a truncated or bit-flipped file
-    from a concurrent CI run fails validation instead of deserialising into
-    garbage.  Any failure — parse error, checksum mismatch, missing key,
-    shape mismatch inside the deserialiser — falls back to
-    re-identification; the corrupt entry is removed (best effort) so later
-    runs do not trip over it again, while transient ``OSError`` reads keep
-    the (possibly valid) entry and just miss.
-    """
-    payload = cache.read_json(path)
-    if payload is None:
-        return None
-    try:
-        models = ReferenceMacromodels(
-            driver=macromodel_from_dict(payload["driver"]),
-            receiver=macromodel_from_dict(payload["receiver"]),
-            params=params,
-            source="identified (disk cache)",
-        )
-    except Exception:
-        # Structurally wrong payload (old format, foreign writer): remove it.
-        cache.invalidate(path)
-        return None
-    return models
-
-
-def _store_identified_to_disk(path: str, models: ReferenceMacromodels) -> None:
-    """Persist an identification result (best effort, atomic replace).
-
-    Delegates to :func:`repro.cache.atomic_write_json`: the cache is an
-    optimisation only, so a failed write (read-only filesystem,
-    unserialisable model field, ...) never fails the identification.
-    """
-    cache.atomic_write_json(
-        path,
-        {
-            "driver": macromodel_to_dict(models.driver),
-            "receiver": macromodel_to_dict(models.receiver),
-        },
-    )
 
 
 def _identify_driver(params: ReferenceDeviceParameters, n_centers: int, seed: int) -> DriverMacromodel:
@@ -245,35 +157,24 @@ def identified_reference_macromodels(
     With ``use_identification=True`` (default) the models are identified
     from the transistor-level circuits exactly as in the paper's workflow;
     with ``False`` the fast analytic library models are returned instead
-    (useful for unit tests).  Results are cached per parameter set, both in
-    process memory and on disk (see :func:`identification_cache_path`), so
-    benchmark and example runs stop re-running the identification on every
-    process start.
+    (useful for unit tests; ``n_centers`` is then ignored).  Both are
+    served by :func:`repro.api.models.cached_models` under the equivalent
+    ``devices`` block, so a job naming the same devices shares the entry.
     """
+    from repro.api.models import cached_models
+    from repro.api.spec import DeviceSpec
+
     params = params or ReferenceDeviceParameters()
-    key = (params, n_centers, seed, use_identification)
-    if key in _CACHE:
-        return _CACHE[key]
+    default = ReferenceDeviceParameters()
+    overrides = {
+        field.name: getattr(params, field.name)
+        for field in dataclasses.fields(params)
+        if getattr(params, field.name) != getattr(default, field.name)
+    }
     if use_identification:
-        disk_path = identification_cache_path(params, n_centers, seed)
-        models = None
-        if disk_path is not None and os.path.exists(disk_path):
-            models = _load_identified_from_disk(disk_path, params)
-        if models is None:
-            models = ReferenceMacromodels(
-                driver=_identify_driver(params, n_centers, seed),
-                receiver=_identify_receiver(params, max(n_centers // 2, 30), seed),
-                params=params,
-                source="identified",
-            )
-            if disk_path is not None:
-                _store_identified_to_disk(disk_path, models)
-    else:
-        models = ReferenceMacromodels(
-            driver=make_reference_driver_macromodel(params, seed=seed),
-            receiver=make_reference_receiver_macromodel(params, seed=seed + 10),
-            params=params,
-            source="library",
+        devices = DeviceSpec(
+            source="identified", n_centers=n_centers, seed=seed, params=overrides
         )
-    _CACHE[key] = models
-    return models
+    else:
+        devices = DeviceSpec(source="library", seed=seed, params=overrides)
+    return cached_models(devices)

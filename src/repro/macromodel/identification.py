@@ -24,7 +24,6 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.macromodel.driver import SwitchingWeights
 from repro.macromodel.rbf import GaussianRBFExpansion, RBFSubmodel
@@ -89,6 +88,9 @@ def _select_centers(
     n_centers = min(n_centers, points.shape[0])
     if n_centers == points.shape[0]:
         return points.copy()
+    # imported here: scipy.cluster costs ~0.4 s and only fitting needs it
+    from scipy.cluster.vq import kmeans2
+
     centers, _ = kmeans2(points, n_centers, minit="++", seed=seed)
     # kmeans2 can return duplicate/empty clusters on degenerate data; keep
     # only distinct centres (the least-squares step is robust to fewer).

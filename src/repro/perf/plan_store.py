@@ -76,10 +76,6 @@ def default_plan_root() -> str:
     return os.path.join(os.environ.get("REPRO_CACHE_DIR", ".cache"), "plans")
 
 
-def _disk_cache_disabled() -> bool:
-    return os.environ.get("REPRO_DISK_CACHE", "1").strip().lower() in ("0", "false", "off")
-
-
 class PlanStore:
     """Disk + in-process store of assembly plans, keyed by topology hash.
 
@@ -111,7 +107,7 @@ class PlanStore:
         """Whether reads/writes touch the disk (re-checks the env default)."""
         if self._enabled is not None:
             return self._enabled
-        return not _disk_cache_disabled()
+        return cache.disk_enabled()
 
     def path(self, key: str) -> str:
         """Where the plan of a topology hash lives (whether or not it exists)."""

@@ -40,7 +40,8 @@ Endpoints
 ``GET /stats``
     Cache-layer counters since daemon start: the job counters plus
     hit/miss/put counts of the content-addressed result store and of the
-    topology-keyed assembly-plan store (PR 9 warm starts).
+    topology-keyed assembly-plan store (warm starts), and the memo hits,
+    disk hits and fits of the macromodel cache (``models``).
 
 Failures never surface as ``500``: a solver failure is a *job* state
 (``failed`` with the PR 6 taxonomy records), not a transport error.
@@ -176,7 +177,9 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _get_stats(self) -> None:
-        """Cache-layer counters since daemon start (result + plan stores)."""
+        """Cache-layer counters since daemon start (result store, plan
+        store and macromodel cache)."""
+        from repro.api.models import model_cache_stats
         from repro.perf.plan_store import default_plan_store, plan_store_stats
 
         plan_store = default_plan_store()
@@ -192,6 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "root": plan_store.root,
                 **plan_store_stats(),
             },
+            "models": model_cache_stats(),
         })
 
     def _get_engines(self) -> None:

@@ -142,8 +142,8 @@ class JobManager:
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
-        #: clean results solved by *this* process (serves duplicates even
-        #: when the disk store is disabled)
+        #: clean results solved by *this* process: every duplicate of such
+        #: a hash is served this one document, disk store enabled or not
         self._memory: Dict[str, dict] = {}
         self._inflight: Dict[str, threading.Event] = {}
         self._stats = {
@@ -223,11 +223,13 @@ class JobManager:
 
     # -- cache handling ----------------------------------------------------
     def _lookup_cached(self, spec_hash: str) -> Optional[dict]:
+        # The store is read (and counts the hit) either way; a hash solved
+        # here is then served the one document every job of it shares,
+        # since a copy per hit would grow the daemon with each resubmission.
         document = self.store.get(spec_hash)
-        if document is not None:
-            return document
         with self._lock:
-            return self._memory.get(spec_hash)
+            solved = self._memory.get(spec_hash)
+        return solved if solved is not None else document
 
     def _complete_from_cache(self, job: Job, document: dict) -> None:
         # caller holds self._lock

@@ -48,10 +48,6 @@ def default_store_root() -> str:
     return os.path.join(os.environ.get("REPRO_CACHE_DIR", ".cache"), "results")
 
 
-def _disk_cache_disabled() -> bool:
-    return os.environ.get("REPRO_DISK_CACHE", "1").strip().lower() in ("0", "false", "off")
-
-
 class ResultStore:
     """Disk store of finished job results, keyed by spec content hash.
 
@@ -82,7 +78,7 @@ class ResultStore:
         """Whether reads/writes touch the disk (re-checks the env default)."""
         if self._enabled is not None:
             return self._enabled
-        return not _disk_cache_disabled()
+        return cache.disk_enabled()
 
     # -- paths ------------------------------------------------------------
     def _entry_path(self, spec_hash: str, suffix: str) -> str:

@@ -23,7 +23,7 @@ import dataclasses
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.circuits.elements import Capacitor, Resistor, VoltageSource
-from repro.circuits.ladder import add_link_interconnect
+from repro.circuits.ladder import add_link_interconnect, link_interconnect_nodes
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.rbf_element import MacromodelElement
 from repro.circuits.transient import TransientOptions
@@ -162,6 +162,20 @@ class RBFLinkSpec:
                 f"{scenario.device!r}; available: {sorted(map(str, self.devices))}"
             ) from exc
 
+    def _stimulus(self, scenario: Scenario) -> LogicStimulus:
+        return LogicStimulus.from_pattern(
+            scenario.bit_pattern or self.bit_pattern, self.bit_time
+        )
+
+    def _v0(self, stimulus: LogicStimulus) -> float:
+        return self.vdd if stimulus.initial_state == 1 else 0.0
+
+    def initial_voltages(self, scenario: Scenario) -> Dict[str, float]:
+        """Newton's starting guess: the line's initial voltage on every
+        interconnect node (``vdd`` for a high-start pattern, else 0 V)."""
+        v0 = self._v0(self._stimulus(scenario))
+        return dict.fromkeys(link_interconnect_nodes("near", "far", self.segments), v0)
+
     def build(self, scenario: Scenario, dt: float) -> Circuit:
         """The RBF link circuit for one scenario."""
         if scenario.drive_strength != 1.0:
@@ -171,10 +185,9 @@ class RBFLinkSpec:
                 "express drive variants as device variants instead"
             )
         driver, receiver = self.pair(scenario)
-        pattern = scenario.bit_pattern or self.bit_pattern
-        stimulus = LogicStimulus.from_pattern(pattern, self.bit_time)
+        stimulus = self._stimulus(scenario)
         bound = driver.bound(stimulus)
-        v0 = self.vdd if stimulus.initial_state == 1 else 0.0
+        v0 = self._v0(stimulus)
         circuit = Circuit(f"rbf-link-{scenario.name}")
         circuit.add(MacromodelElement("drv", "near", GROUND, bound, dt, v0=v0))
         _add_sweep_interconnect(
@@ -189,10 +202,13 @@ class RBFLinkSpec:
                 Resistor("rload", "far", GROUND, scenario.corner_value("load_resistance", 500.0))
             )
             circuit.add(
-                Capacitor("cload", "far", GROUND, scenario.corner_value("load_capacitance", 1e-12))
+                Capacitor(
+                    "cload", "far", GROUND,
+                    scenario.corner_value("load_capacitance", 1e-12), v0=v0,
+                )
             )
         else:
-            circuit.add(MacromodelElement("rx", "far", GROUND, receiver, dt))
+            circuit.add(MacromodelElement("rx", "far", GROUND, receiver, dt, v0=v0))
         return circuit
 
 
@@ -242,4 +258,5 @@ def rbf_link_sweep(
         record_branches=[],
         options=options,
         batch_prepare=batch_prepare,
+        initial_voltages=spec.initial_voltages,
     )

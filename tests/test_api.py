@@ -541,6 +541,57 @@ GOLDEN_JOB_HASHES = {
 }
 
 
+class TestHighStartPatterns:
+    """rbf links whose pattern starts with ``1`` start in their high state."""
+
+    @pytest.mark.parametrize("segments", [0, 4])
+    @pytest.mark.parametrize("pattern", ["101", "110", "1"])
+    @pytest.mark.parametrize("load, tolerance", [("receiver", 0.01), ("rc", 0.5)])
+    def test_circuit_link_starts_high(self, pattern, segments, load, tolerance):
+        spec = SimulationSpec(
+            kind="circuit",
+            duration=1.5e-9,
+            stimulus=StimulusSpec(bit_pattern=pattern, bit_time=1e-9),
+            link=LinkSpec(load=load, segments=segments),
+        )
+        result = run(spec)  # used to raise NonConvergenceError at step 1
+        # a receiver load holds the high steady state; the rc load's DC
+        # current reflects off a line that starts without current
+        before_edge = result.times < 0.9e-9
+        for name in ("near_end", "far_end"):
+            wave = result.waveform(name)
+            assert wave[0] == 1.8
+            assert np.max(np.abs(wave[before_edge] - 1.8)) < tolerance, name
+
+    def test_sweep_scenarios_start_high(self):
+        spec = SimulationSpec(
+            kind="sweep",
+            duration=1.5e-9,
+            stimulus=StimulusSpec(bit_pattern="010", bit_time=1e-9),
+            scenarios=(
+                ScenarioSpec(name="101", bit_pattern="101"),
+                ScenarioSpec(name="110/z100", bit_pattern="110", corner={"z0": 100.0}),
+                ScenarioSpec(name="1/rc", bit_pattern="1",
+                             corner={"load_resistance": 500.0}),
+                ScenarioSpec(name="010", bit_pattern="010"),
+            ),
+            engine=EngineOptions(sweep_family="rbf"),
+        )
+        result = run(spec)
+        assert "failures" not in result.meta
+        assert set(result.meta["scenario_status"].values()) == {"ok"}
+        # the sweep's high-start scenario matches its single-run circuit job
+        single = run(SimulationSpec(
+            kind="circuit",
+            duration=1.5e-9,
+            stimulus=StimulusSpec(bit_pattern="101", bit_time=1e-9),
+            link=LinkSpec(load="receiver"),
+        ))
+        assert _rel_diff(
+            single.waveform("far_end"), result.waveform("101/far")
+        ) <= 1e-12
+
+
 class TestGoldenJobs:
     def test_all_job_files_validate(self):
         names = sorted(

@@ -9,6 +9,9 @@ import sys
 
 import pytest
 
+from repro import cache
+from repro.api import DeviceSpec
+from repro.api import models as model_cache
 from repro.experiments import devices as dev
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,12 +79,12 @@ class TestResilienceCLI:
 
 
 class TestIdentificationCacheRobustness:
-    def test_corrupt_entry_is_removed_and_reidentified(
-        self, tmp_path, monkeypatch, params, driver_model, receiver_model
-    ):
+    @pytest.fixture
+    def stub_identification(self, tmp_path, monkeypatch, driver_model, receiver_model):
+        """Identification stubbed with counters, over an empty cache."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
-        monkeypatch.setattr(dev, "_CACHE", {})
+        monkeypatch.setattr(model_cache, "_MEMO", {})
         calls = {"driver": 0, "receiver": 0}
 
         def fake_driver(p, n_centers, seed):
@@ -94,9 +97,16 @@ class TestIdentificationCacheRobustness:
 
         monkeypatch.setattr(dev, "_identify_driver", fake_driver)
         monkeypatch.setattr(dev, "_identify_receiver", fake_receiver)
-
-        path = dev.identification_cache_path(params, 10, 0)
+        devices = DeviceSpec(source="identified", n_centers=10, seed=0)
+        key = model_cache.model_cache_key(devices)
+        path = model_cache.model_cache_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
+        return calls, key, path
+
+    def test_corrupt_entry_is_removed_and_reidentified(
+        self, monkeypatch, params, stub_identification
+    ):
+        calls, key, path = stub_identification
         with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"driver": {"truncated by a concurr')
 
@@ -108,27 +118,41 @@ class TestIdentificationCacheRobustness:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
         assert set(document) == {"cache_format", "checksum", "payload"}
-        assert set(document["payload"]) == {"driver", "receiver"}
+        assert set(document["payload"]) == {"key", "driver", "receiver"}
 
         # A fresh process (cleared memory cache) now loads it from disk.
-        monkeypatch.setattr(dev, "_CACHE", {})
+        monkeypatch.setattr(model_cache, "_MEMO", {})
         again = dev.identified_reference_macromodels(params, n_centers=10, seed=0)
-        assert again.source == "identified (disk cache)"
+        assert again.source == "identified"
         assert calls == {"driver": 1, "receiver": 1}
 
-    def test_corrupt_entry_is_unlinked_on_load_failure(self, tmp_path, params):
-        path = str(tmp_path / "entry.json")
+    def test_corrupt_entry_is_unlinked_on_load_failure(
+        self, monkeypatch, params, stub_identification
+    ):
+        calls, key, path = stub_identification
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("not json at all")
-        assert dev._load_identified_from_disk(path, params) is None
+        # With identification failing, the corrupt entry is gone all the same.
+        monkeypatch.setattr(dev, "_identify_driver", _raise_runtime_error)
+        with pytest.raises(RuntimeError):
+            dev.identified_reference_macromodels(params, n_centers=10, seed=0)
         assert not os.path.exists(path)
 
-    def test_structurally_wrong_entry_also_recovers(self, tmp_path, params):
-        path = str(tmp_path / "entry.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"driver": {"wrong": "schema"}, "receiver": {}}, handle)
-        assert dev._load_identified_from_disk(path, params) is None
+    def test_structurally_wrong_entry_also_recovers(
+        self, monkeypatch, params, stub_identification
+    ):
+        calls, key, path = stub_identification
+        cache.atomic_write_json(
+            path, {"key": key, "driver": {"wrong": "schema"}, "receiver": {}}
+        )
+        monkeypatch.setattr(dev, "_identify_driver", _raise_runtime_error)
+        with pytest.raises(RuntimeError):
+            dev.identified_reference_macromodels(params, n_centers=10, seed=0)
         assert not os.path.exists(path)
+
+
+def _raise_runtime_error(*args):
+    raise RuntimeError("refit stopped: the entry must already be gone")
 
 
 class TestCIPipeline:
@@ -212,6 +236,20 @@ class TestCIPipeline:
             "-k resilience" in command and 'not slow' in command
             for command in commands
         )
+
+    def test_quick_tier_runs_model_cache_smoke(self, workflow):
+        # The model-cache suite plus a cold/warm rbf_link CLI pair on a
+        # fresh cache directory: one models/ entry, identical waveforms.
+        test_job = workflow["jobs"]["test"]
+        step = next(
+            step for step in test_job["steps"]
+            if isinstance(step, dict) and "-k model_cache" in step.get("run", "")
+        )
+        assert 'not slow' in step["run"]
+        assert "REPRO_CACHE_DIR" in step.get("env", {})
+        assert step["run"].count("python -m repro run examples/jobs/rbf_link.json --quick") == 2
+        assert "'models'" in step["run"] and "len(entries) == 1" in step["run"]
+        assert "warm['waveforms'] == cold['waveforms']" in step["run"]
 
     def test_nightly_runs_resilience_fault_matrix(self, workflow):
         # The nightly tier drives the full resilience suite plus CLI-level

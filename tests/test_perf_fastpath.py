@@ -8,6 +8,8 @@ for the MNA solver, the separable RBF evaluation and both FDTD steppers —
 and that the cached-LU path is actually hit for purely linear circuits.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -300,40 +302,45 @@ def test_fdtd1d_fast_equivalence(driver_model, receiver_model):
 def test_identification_disk_cache_roundtrip(
     tmp_path, monkeypatch, params, driver_model, receiver_model
 ):
+    from repro.api import DeviceSpec
+    from repro.api import models as model_cache
     from repro.experiments import devices as dev
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
-    path = dev.identification_cache_path(params, 10, 0)
+    monkeypatch.setattr(model_cache, "_MEMO", {})
+    monkeypatch.setattr(model_cache, "STATS", dict.fromkeys(model_cache.STATS, 0))
+    monkeypatch.setattr(dev, "_identify_driver", lambda p, n, s: driver_model)
+    monkeypatch.setattr(dev, "_identify_receiver", lambda p, n, s: receiver_model)
+    devices = DeviceSpec(source="identified", n_centers=10, seed=0)
+    path = model_cache.model_cache_path(model_cache.model_cache_key(devices))
     assert path is not None and str(tmp_path) in path
     # Different identification parameters must map to different entries.
-    assert path != dev.identification_cache_path(params, 11, 0)
-    assert path != dev.identification_cache_path(params, 10, 1)
+    for other in (
+        DeviceSpec(source="identified", n_centers=11, seed=0),
+        DeviceSpec(source="identified", n_centers=10, seed=1),
+        DeviceSpec(source="identified", n_centers=10, params={"vdd": 2.5}),
+    ):
+        assert path != model_cache.model_cache_path(model_cache.model_cache_key(other))
 
-    models = dev.ReferenceMacromodels(
-        driver=driver_model, receiver=receiver_model, params=params
-    )
-    dev._store_identified_to_disk(path, models)
-    loaded = dev._load_identified_from_disk(path, params)
-    assert loaded is not None
-    assert loaded.source == "identified (disk cache)"
+    dev.identified_reference_macromodels(params, n_centers=10, seed=0)
+    assert os.path.exists(path)
+    monkeypatch.setattr(model_cache, "_MEMO", {})
+    loaded = dev.identified_reference_macromodels(params, n_centers=10, seed=0)
+    assert model_cache.STATS == {"memo_hits": 0, "disk_hits": 1, "fits": 1}
+    assert loaded.source == "identified"
     np.testing.assert_array_equal(
         loaded.driver.submodel_up.expansion.weights,
-        models.driver.submodel_up.expansion.weights,
+        driver_model.submodel_up.expansion.weights,
     )
     np.testing.assert_array_equal(
         loaded.receiver.protection_up.expansion.centers,
-        models.receiver.protection_up.expansion.centers,
+        receiver_model.protection_up.expansion.centers,
     )
-
-    # A corrupt cache entry falls back gracefully (returns None).
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{not json")
-    assert dev._load_identified_from_disk(path, params) is None
 
     # The cache can be disabled through the environment.
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-    assert dev.identification_cache_path(params, 10, 0) is None
+    assert model_cache.model_cache_path(model_cache.model_cache_key(devices)) is None
 
 
 # -- global switch ---------------------------------------------------------

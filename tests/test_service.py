@@ -279,6 +279,21 @@ def counted_sweep_engine():
         engines_mod.register_engine(info.kind, summary=info.summary)(info.runner)
 
 
+def test_jobs_share_one_model_fit(server, tmp_path, monkeypatch):
+    """Two rbf jobs with one devices block fit their models once."""
+    from repro.api import models as model_cache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(model_cache, "_MEMO", {})
+    monkeypatch.setattr(model_cache, "STATS", dict.fromkeys(model_cache.STATS, 0))
+    for label in ("first rbf job", "second rbf job"):
+        status, submitted = _post(server, "/jobs", _circuit_spec(label))
+        assert _wait(server, submitted["job_id"])["state"] == "done"
+    status, stats = _get(server, "/stats")
+    assert status == 200
+    assert stats["models"] == {"memo_hits": 1, "disk_hits": 0, "fits": 1}
+
+
 def test_duplicate_submission_is_served_from_cache(server, counted_sweep_engine):
     spec = _sweep_spec("cache-hit contract")
 
@@ -309,6 +324,9 @@ def test_duplicate_submission_is_served_from_cache(server, counted_sweep_engine)
     body1 = _get_bytes(server, f"/jobs/{first['job_id']}/result")
     body2 = _get_bytes(server, f"/jobs/{second['job_id']}/result")
     assert body1 == body2  # byte-identical, perf_stats included
+    # ...and held once: a hit keeps no copy of its own in the daemon
+    first_job = server.manager.get(first["job_id"])
+    assert server.manager.get(second["job_id"]).result_doc is first_job.result_doc
 
     result = json.loads(body1)
     assert json.loads(body2)["perf_stats"] == result["perf_stats"]

@@ -481,7 +481,9 @@ class TestServiceStats:
                 payload = json.loads(response.read().decode("utf-8"))
         finally:
             server.close()
-        assert set(payload) == {"jobs", "result_store", "plan_store"}
+        assert set(payload) == {"jobs", "result_store", "plan_store", "models"}
+        assert set(payload["models"]) == {"memo_hits", "disk_hits", "fits"}
+        assert all(isinstance(n, int) for n in payload["models"].values())
         for block in ("result_store", "plan_store"):
             assert payload[block]["root"]
             assert isinstance(payload[block]["enabled"], bool)
