@@ -68,7 +68,7 @@ def _build(workload: str, size: int):
 
 
 def _run(circuit, probe: str, dt: float, duration: float, backend: str,
-         compact_banks: bool | None = None):
+         compact_banks: bool = True):
     solver = TransientSolver(
         circuit, dt,
         options=TransientOptions(backend=backend, compact_banks=compact_banks),
@@ -135,7 +135,7 @@ def bench_banked(size: int, dt: float, duration: float, trials: int) -> dict:
     modes = {
         "scalar": dict(banked=False, compact_banks=False),
         "banked": dict(banked=False, compact_banks=True),
-        "native": dict(banked=True, compact_banks=None),
+        "native": dict(banked=True, compact_banks=True),
     }
     for mode, cfg in modes.items():
         best = None

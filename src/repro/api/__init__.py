@@ -36,8 +36,7 @@ Layers
 
 from __future__ import annotations
 
-import contextlib
-
+from repro import perf
 from repro.api.engines import (
     EngineInfo,
     get_engine,
@@ -126,13 +125,7 @@ def run(spec, *, models=None) -> Result:
     if not isinstance(spec, SimulationSpec):
         spec = spec_from_dict(spec)
     engine = get_engine(spec.kind)
-    if spec.engine.fast is not None:
-        from repro import perf
-
-        fast_ctx = perf.use_fastpath(spec.engine.fast)
-    else:
-        fast_ctx = contextlib.nullcontext()
-    with fast_ctx:
+    with perf.use_fastpath(spec.engine.fast):
         return engine.runner(spec, models=models)
 
 

@@ -735,7 +735,8 @@ class EngineOptions(_Block):
         (``delay / n_cells`` and the 3-D Courant limit respectively).
     fast:
         Fast-path selection forwarded to :func:`repro.perf.use_fastpath`
-        for the duration of the run; ``None`` follows the process default.
+        for the duration of the run, in the calling thread only; ``None``
+        follows the process default (``REPRO_FASTPATH``).
     n_cells:
         Spatial cells of the 1-D FDTD line.
     variant:

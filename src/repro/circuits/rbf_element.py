@@ -37,6 +37,9 @@ class MacromodelElement(Element):
         time, per the paper's Eq. 17).
     v0, i0:
         Initial port voltage and current used to fill the regressor history.
+
+    The port model reads the fast-path switch once, when the element is
+    built (see :class:`~repro.core.resampling.ResampledPortModel`).
     """
 
     needs_accept = True
@@ -55,27 +58,16 @@ class MacromodelElement(Element):
         v0: float = 0.0,
         i0: float = 0.0,
         allow_unstable: bool = False,
-        fast: bool | None = None,
     ):
         super().__init__(name, (node, ref))
-        self._model = model
-        self._dt = float(dt)
         self._v0 = float(v0)
         self._i0 = float(i0)
-        self._allow_unstable = bool(allow_unstable)
-        self._fast = fast
-        self.reset()
+        self.port = ResampledPortModel(
+            model, dt, allow_unstable=allow_unstable, v0=self._v0, i0=self._i0, t0=0.0
+        )
 
     def reset(self) -> None:
-        self.port = ResampledPortModel(
-            self._model,
-            self._dt,
-            allow_unstable=self._allow_unstable,
-            v0=self._v0,
-            i0=self._i0,
-            t0=0.0,
-            fast=self._fast,
-        )
+        self.port.reset(v0=self._v0, i0=self._i0, t0=0.0)
 
     def stamp(self, A, rhs, x, ctx: StampContext) -> None:
         node, ref = self.nodes

@@ -72,10 +72,6 @@ class TransientOptions:
     max_delta_v:
         Per-iteration cap on node-voltage updates (simple damping for the
         exponential devices).
-    fast:
-        Use the fast assembly path of :mod:`repro.perf.mna`.  ``None``
-        (default) follows :func:`repro.perf.fastpath_default`; ``False``
-        selects the naive reference path.
     backend:
         Linear-solver backend of the fast path (see
         :mod:`repro.perf.backends`): ``"dense"``, ``"sparse"``, or
@@ -85,10 +81,10 @@ class TransientOptions:
     compact_banks:
         Group homogeneous scalar elements (R, C, L, V, I) into vectorised
         element banks at run start, so per-step stamping and accepts cost
-        one Python call per bank instead of one per element.  ``None``
-        (default) follows the ``REPRO_BANK_COMPACTION`` environment switch
-        (on unless set to ``0``); ``False`` opts this run out.  Ignored by
-        the reference path, which always stamps element by element.
+        one Python call per bank instead of one per element (default).
+        ``False`` stamps element by element, the scalar oracle of the
+        banks.  Ignored by the reference path, which always stamps element
+        by element.
     on_nonconvergence:
         What to do when a step exhausts its Newton iterations (after any
         configured retries): ``"raise"`` (default) raises a typed
@@ -116,9 +112,8 @@ class TransientOptions:
     abstol_i: float = 1e-12
     gmin: float = 1e-12
     max_delta_v: float = 1.0
-    fast: bool | None = None
     backend: str | None = None
-    compact_banks: bool | None = None
+    compact_banks: bool = True
     on_nonconvergence: str = "raise"
     retry_policy: RetryPolicy | None = None
     plan_key: str | None = None
@@ -229,7 +224,11 @@ class TransientRun:
 
 
 class TransientSolver:
-    """Fixed-step Newton-Raphson transient solver."""
+    """Fixed-step Newton-Raphson transient solver.
+
+    The fast or reference assembly path is chosen once, when the solver
+    is built, by :func:`repro.perf.fastpath_default`.
+    """
 
     def __init__(
         self,
@@ -245,7 +244,7 @@ class TransientSolver:
         self.dt = float(dt)
         self.options = options or TransientOptions()
         self.compiled: CompiledCircuit = circuit.compile()
-        self.fast = perf.resolve_fast(self.options.fast)
+        self.fast = perf.fastpath_default()
         #: optional static-stamp/LU cache shared with other runs of a sweep
         self.shared_static = shared_static
         #: scenario label attached to failure records (sweep members set it)

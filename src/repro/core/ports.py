@@ -199,11 +199,10 @@ class MacromodelTermination(LumpedTermination):
         i0: float = 0.0,
         t0: float = 0.0,
         allow_unstable: bool = False,
-        fast: bool | None = None,
     ) -> "MacromodelTermination":
         """Build the termination directly from a driver/receiver macromodel."""
         port = ResampledPortModel(
-            model, dt, allow_unstable=allow_unstable, v0=v0, i0=i0, t0=t0, fast=fast
+            model, dt, allow_unstable=allow_unstable, v0=v0, i0=i0, t0=t0
         )
         return cls(port)
 

@@ -99,11 +99,11 @@ class ResampledPortModel:
         voltage of the port before the first switching event).
     t0:
         Absolute time of the first solver step.
-    fast:
-        Use the separable per-step evaluator of
-        :mod:`repro.perf.rbf_fast` for driver/receiver macromodels.
-        ``None`` (default) follows :func:`repro.perf.fastpath_default`;
-        ``False`` always evaluates through the naive model methods.
+
+    Driver/receiver macromodels are evaluated through the separable
+    per-step evaluator of :mod:`repro.perf.rbf_fast` when
+    :func:`repro.perf.fastpath_default` holds at construction, and
+    through the naive model methods otherwise.
     """
 
     def __init__(
@@ -114,7 +114,6 @@ class ResampledPortModel:
         v0: float = 0.0,
         i0: float = 0.0,
         t0: float = 0.0,
-        fast: bool | None = None,
     ):
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -130,7 +129,7 @@ class ResampledPortModel:
         self.tau = float(tau)
         self.dynamic_order = int(model.dynamic_order)
         self._q = resampling_matrix(self.dynamic_order, self.tau)
-        self._fast = build_fast_port_evaluator(model) if perf.resolve_fast(fast) else None
+        self._fast = build_fast_port_evaluator(model) if perf.fastpath_default() else None
         self._state_version = 0
         self.reset(v0=v0, i0=i0, t0=t0)
 

@@ -103,15 +103,23 @@ def run_fdtd1d_link(
     t_d: float,
     n_cells: int = 100,
 ) -> SimulationResult:
-    """The 1-D FDTD engine for the Figure 4 / Figure 5 link."""
+    """The 1-D FDTD engine for the Figure 4 / Figure 5 link.
+
+    A high-start pattern starts the line, both port histories and the load
+    capacitor at ``vdd``, like the circuit engine's
+    :func:`~repro.circuits.testbenches.run_link_rbf`.
+    """
     stimulus = LogicStimulus.from_pattern(link.bit_pattern, link.bit_time)
+    v0 = models.params.vdd if stimulus.initial_state == 1 else 0.0
     dt = t_d / n_cells
-    driver = MacromodelTermination.from_model(models.driver.bound(stimulus), dt)
+    driver = MacromodelTermination.from_model(models.driver.bound(stimulus), dt, v0=v0)
     if link.load == "rc":
-        load = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt)
+        load = ParallelRCTermination(
+            link.load_resistance, link.load_capacitance, dt, v0=v0
+        )
     else:
-        load = MacromodelTermination.from_model(models.receiver, dt)
-    line = FDTD1DLine(z_c, t_d, driver, load, n_cells=n_cells)
+        load = MacromodelTermination.from_model(models.receiver, dt, v0=v0)
+    line = FDTD1DLine(z_c, t_d, driver, load, n_cells=n_cells, v_initial=v0)
     return line.run(link.duration)
 
 

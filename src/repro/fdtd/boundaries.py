@@ -13,13 +13,14 @@ the paper's structures, where the strips run parallel to the boundaries and
 the dominant incidence is close to normal; the residual reflections show up
 only as the small late-time ripple also visible in the paper's curves.
 
-On the fast path (the default, see :mod:`repro.perf`) all per-step storage
-— the saved previous-level planes and the update scratch — is preallocated
-once, so :meth:`MurBoundary.save_previous` and :meth:`MurBoundary.apply`
-allocate nothing in the time loop; the arithmetic is unchanged from the
-naive implementation, so the results are bit-identical.  With
-``fast=False`` the original allocate-per-step implementation runs instead
-and serves as the reference oracle.
+On the fast path (the default, see :mod:`repro.perf`; read once, when the
+boundary is built) all per-step storage — the saved previous-level planes
+and the update scratch — is preallocated once, so
+:meth:`MurBoundary.save_previous` and :meth:`MurBoundary.apply` allocate
+nothing in the time loop; the arithmetic is unchanged from the naive
+implementation, so the results are bit-identical.  On the reference path
+the original allocate-per-step implementation runs instead and serves as
+the oracle.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ __all__ = ["MurBoundary"]
 class MurBoundary:
     """First-order Mur ABC on the six faces of a :class:`YeeGrid`."""
 
-    def __init__(self, grid: YeeGrid, dt: float, c: float = C0, fast: bool | None = None):
+    def __init__(self, grid: YeeGrid, dt: float, c: float = C0):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.dt = float(dt)
-        self.fast = perf.resolve_fast(fast)
+        self.fast = perf.fastpath_default()
         self.coef_x = (c * dt - grid.dx) / (c * dt + grid.dx)
         self.coef_y = (c * dt - grid.dy) / (c * dt + grid.dy)
         self.coef_z = (c * dt - grid.dz) / (c * dt + grid.dz)

@@ -132,8 +132,8 @@ class LumpedElementSite:
         self._xyz = (float(x[i, j, k]), float(y[i, j, k]), float(z[i, j, k]))
         # Precomputed incident-field retardation at the element edge (fast
         # path); the per-step incident evaluations then reduce to one
-        # waveform call.  With fast=False the seed's per-step evaluation is
-        # kept as the reference oracle.
+        # waveform call.  On the solver's reference path the seed's per-step
+        # evaluation is kept as the oracle.
         self._fast = bool(fast)
         if plane_wave is not None:
             self._pw_delay = float(plane_wave.delay(*self._xyz))

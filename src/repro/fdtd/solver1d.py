@@ -50,10 +50,10 @@ class FDTD1DLine:
         Initial line voltage (0 V for the paper's '010' stimulus).
     newton_options:
         Settings for the termination Newton solves.
-    fast:
-        Run the interior leapfrog through preallocated scratch buffers
-        (allocation-free stepping; numerically identical).  ``None``
-        (default) follows :func:`repro.perf.fastpath_default`.
+
+    On the fast path (:func:`repro.perf.fastpath_default` at construction)
+    the interior leapfrog runs through preallocated scratch buffers
+    (allocation-free stepping; numerically identical).
     """
 
     def __init__(
@@ -66,7 +66,6 @@ class FDTD1DLine:
         courant: float = 1.0,
         v_initial: float = 0.0,
         newton_options: NewtonOptions | None = None,
-        fast: bool | None = None,
     ):
         if z0 <= 0 or delay <= 0:
             raise ValueError("z0 and delay must be positive")
@@ -88,7 +87,7 @@ class FDTD1DLine:
         self.far = far_termination
         self.newton_options = newton_options or NewtonOptions()
         self.newton_stats = NewtonStats()
-        self.fast = perf.resolve_fast(fast)
+        self.fast = perf.fastpath_default()
 
     def run(self, duration: float) -> SimulationResult:
         """Run a transient of the given duration and return the port waveforms."""

@@ -55,17 +55,17 @@ class FDTD3DSolver:
     newton_options:
         Settings for the per-port Newton iterations (default: the paper's
         1e-9 tolerance).
-    fast:
-        Use the allocation-free update kernels of
-        :mod:`repro.perf.fdtd_fast` plus flat-index PEC/dielectric
-        application.  ``None`` (default) follows
-        :func:`repro.perf.fastpath_default`; ``False`` runs the naive
-        reference updates.
     batch_ports:
         Solve the Newton updates of macromodel ports that share a device
         model in lockstep, with one vectorised RBF basis evaluation per
         iteration across the group (:class:`~repro.core.lumped_rbf.BatchedCellGroup`).
-        ``None`` (default) follows ``fast``.
+        ``None`` (default) follows the fast-path decision.
+
+    On the fast path (:func:`repro.perf.fastpath_default` at construction)
+    the solver runs the allocation-free update kernels of
+    :mod:`repro.perf.fdtd_fast` plus flat-index PEC/dielectric application;
+    otherwise the naive reference updates.  The Mur boundary and the
+    lumped sites it wires up take the same decision.
     """
 
     def __init__(
@@ -74,7 +74,6 @@ class FDTD3DSolver:
         dt: float | None = None,
         courant_safety: float = 0.99,
         newton_options: NewtonOptions | None = None,
-        fast: bool | None = None,
         batch_ports: bool | None = None,
     ):
         self.grid = grid
@@ -90,7 +89,7 @@ class FDTD3DSolver:
             )
         self.newton_options = newton_options or NewtonOptions()
         self.newton_stats = NewtonStats()
-        self.fast = perf.resolve_fast(fast)
+        self.fast = perf.fastpath_default()
         self.batch_ports = self.fast if batch_ports is None else bool(batch_ports)
 
         self.sites: list[LumpedElementSite] = []
@@ -142,7 +141,8 @@ class FDTD3DSolver:
         self._ce_z = self.dt / self._eps_z
         self._ch = self.dt / MU0
 
-        self.mur = MurBoundary(grid, self.dt, fast=self.fast)
+        with perf.use_fastpath(self.fast):
+            self.mur = MurBoundary(grid, self.dt)
 
         if self.plane_wave is not None:
             self.plane_wave.bind(grid)

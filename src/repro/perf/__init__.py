@@ -27,33 +27,39 @@ steppers.  This package concentrates the optimised kernels:
 Every fast path is numerically equivalent to the naive reference
 implementation (bit-compatible or well below 1e-12 relative, enforced by
 ``tests/test_perf_fastpath.py``); the reference paths survive as oracles
-and are selected with ``fast=False`` options or the global switch below.
+and are selected with the switch below.
 
 A handful of numerically-neutral cleanups are shared by both paths rather
 than gated: the Gram-form ``basis()`` with cached centre norms, the scalar
 waveform fast paths, the transmission-line history buffers and the snapping
 of numerically-zero plane-wave direction components.  These change results
 by at most ~1 ulp per evaluation (the snap removes a physically meaningless
-1e-17-scale field), so the ``fast=False`` oracle remains equivalent to the
+1e-17-scale field), so the reference oracle remains equivalent to the
 seed within the same tolerance the equivalence suite enforces.
 
-Global switch
--------------
-:func:`fastpath_default` is consulted by every engine whose ``fast`` option
-is left at ``None``.  It defaults to ``True`` and can be overridden
-process-wide with the ``REPRO_FASTPATH`` environment variable (``0`` /
-``false`` / ``off`` disable it; the variable is re-read on every call, so
-it may be set at any time) or programmatically with
-:func:`set_fastpath_default` / :func:`use_fastpath`, which take precedence
-over the environment.
+The switch
+----------
+There is one fast/reference choice, with two settable forms:
+
+* ``REPRO_FASTPATH`` — the process default (on unless ``0`` / ``false`` /
+  ``off`` / ``no``; re-read on every call, so it may be set at any time);
+* :func:`use_fastpath` — a context manager that overrides it for the
+  calling thread only (a :class:`contextvars.ContextVar`), so concurrent
+  daemon jobs each keep their own ``engine.fast``.  ``None`` follows the
+  environment; blocks nest and restore on exit.
+
+Every solver and port model reads :func:`fastpath_default` once, when it
+is built, and keeps that decision; parts a solver wires up itself (Mur
+boundaries, lumped-site incident fields) take the solver's decision.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 
-__all__ = ["fastpath_default", "set_fastpath_default", "use_fastpath", "resolve_fast"]
+__all__ = ["fastpath_default", "use_fastpath"]
 
 
 def _env_default() -> bool:
@@ -65,35 +71,23 @@ def _env_default() -> bool:
     )
 
 
-#: programmatic override; ``None`` means "follow the environment"
-_FASTPATH_OVERRIDE: bool | None = None
+#: override of the calling thread/context; ``None`` follows the environment
+_OVERRIDE: contextvars.ContextVar[bool | None] = contextvars.ContextVar(
+    "repro_fastpath", default=None
+)
 
 
 def fastpath_default() -> bool:
-    """Whether engines run their fast path when ``fast`` is not given."""
-    if _FASTPATH_OVERRIDE is not None:
-        return _FASTPATH_OVERRIDE
-    return _env_default()
-
-
-def set_fastpath_default(enabled: bool | None) -> None:
-    """Set the process-wide fast-path default (``None``: follow the env)."""
-    global _FASTPATH_OVERRIDE
-    _FASTPATH_OVERRIDE = None if enabled is None else bool(enabled)
+    """Whether a solver or port model built now runs its fast path."""
+    override = _OVERRIDE.get()
+    return _env_default() if override is None else override
 
 
 @contextlib.contextmanager
-def use_fastpath(enabled: bool):
-    """Temporarily force the fast-path default (used by tests/benchmarks)."""
-    global _FASTPATH_OVERRIDE
-    previous = _FASTPATH_OVERRIDE
-    _FASTPATH_OVERRIDE = bool(enabled)
+def use_fastpath(enabled: bool | None):
+    """Force the fast path on/off in this thread (``None``: follow the env)."""
+    token = _OVERRIDE.set(None if enabled is None else bool(enabled))
     try:
         yield
     finally:
-        _FASTPATH_OVERRIDE = previous
-
-
-def resolve_fast(fast: bool | None) -> bool:
-    """Resolve a tri-state ``fast`` option against the global default."""
-    return fastpath_default() if fast is None else bool(fast)
+        _OVERRIDE.reset(token)

@@ -35,7 +35,6 @@ factorizations so tests can assert the caches are actually hit.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,7 +72,6 @@ __all__ = [
     "FastPathAssembler",
     "SharedStaticContext",
     "SPARSE_THRESHOLD",
-    "bank_compaction_default",
     "compact_elements",
     "compaction_signature",
     "compaction_groups",
@@ -86,17 +84,6 @@ __all__ = [
 
 #: a group needs at least this many members before compaction pays for itself
 COMPACTION_MIN_GROUP = 2
-
-
-def bank_compaction_default() -> bool:
-    """Whether bank compaction is enabled (``REPRO_BANK_COMPACTION=0`` opts out)."""
-    raw = os.environ.get("REPRO_BANK_COMPACTION", "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-def resolve_bank_compaction(flag: bool | None) -> bool:
-    """Resolve ``TransientOptions.compact_banks`` against the env default."""
-    return bank_compaction_default() if flag is None else bool(flag)
 
 
 def _bank_from_group(kind, members, tag: int):
@@ -383,10 +370,9 @@ class FastPathAssembler:
     compact_banks:
         Group homogeneous scalar elements into vectorised
         :class:`~repro.circuits.elements.ElementBank` instances for this
-        run (``None`` follows :func:`bank_compaction_default`, i.e. the
-        ``REPRO_BANK_COMPACTION`` environment switch).  Compaction changes
-        neither the unknown numbering nor the stamped values — only how
-        many Python calls each step costs.
+        run (default; ``False`` stamps element by element).  Compaction
+        changes neither the unknown numbering nor the stamped values —
+        only how many Python calls each step costs.
     health:
         Optional :class:`~repro.resilience.RunHealth` accumulator the
         backends record degraded solves (singular fallbacks) into; the
@@ -418,7 +404,7 @@ class FastPathAssembler:
         gmin: float,
         shared: SharedStaticContext | None = None,
         backend: str | None = None,
-        compact_banks: bool | None = None,
+        compact_banks: bool = True,
         health: RunHealth | None = None,
         plan_key: str | None = None,
         plan_store=None,
@@ -430,7 +416,7 @@ class FastPathAssembler:
         self.gmin = float(gmin)
         self._shared = shared
         self.health = health if health is not None else RunHealth()
-        self.compact_banks = resolve_bank_compaction(compact_banks)
+        self.compact_banks = bool(compact_banks)
 
         # -- warm start: resolve the topology-keyed plan before any setup --
         self._plan_key = plan_key

@@ -90,6 +90,9 @@ class CircuitSweep:
         scenarios in one stacked pass per step
         (:class:`repro.perf.rbf_fast.BatchedPrepare`); spec-addressable as
         the ``engine.batch_prepare`` job option.  Fast path only.
+
+    :meth:`run` reads the fast-path switch (:func:`repro.perf.fastpath_default`)
+    when it starts and builds every scenario's solver under it.
     """
 
     def __init__(
@@ -187,7 +190,7 @@ class CircuitSweep:
     def run(self) -> SweepResult:
         """Run the whole batch through one shared engine context."""
         start = _time.perf_counter()
-        fast = perf.resolve_fast(self.options.fast)
+        fast = perf.fastpath_default()
 
         contexts: Dict[object, SharedStaticContext] = {}
         solvers: list[TransientSolver] = []

@@ -405,6 +405,29 @@ class TestEngineEquivalence:
         for probe in ("near_end", "far_end"):
             assert _rel_diff(direct.voltage(probe), via_api.waveform(probe)) <= 1e-12
 
+    @pytest.mark.parametrize("load", ["receiver", "rc"])
+    def test_fdtd1d_high_start_matches_circuit_rbf(self, load, params, driver_model,
+                                                   receiver_model):
+        # A pattern starting with 1 starts the 1-D line, both port
+        # histories and the RC load at vdd, like the circuit engine: the
+        # first-bit minima of the two engines agree.
+        from repro.circuits.testbenches import run_link_rbf
+        from repro.core.cosim import LinkDescription
+        from repro.experiments.fig4_rc_load import run_fdtd1d_link
+
+        link = LinkDescription(bit_pattern="101", bit_time=1e-9, duration=1.5e-9,
+                               load=load)
+        models = _models(params, driver_model, receiver_model)
+        fdtd = run_fdtd1d_link(models, link, z_c=link.z0, t_d=link.delay)
+        circuit = run_link_rbf(link, driver_model, receiver_model, params=params)
+        for probe in ("near_end", "far_end"):
+            minima = [
+                float(np.min(result.voltage(probe)[result.times < link.bit_time]))
+                for result in (fdtd, circuit)
+            ]
+            assert abs(minima[0] - minima[1]) <= 0.01, (probe, minima)
+            assert minima[1] > 1.0  # the first bit really is high
+
     def test_sweep_linear_matches_direct_sweep(self):
         from repro.sweep import Scenario, linear_link_sweep
 

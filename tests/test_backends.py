@@ -31,6 +31,7 @@ from repro.circuits.ladder import (
     rc_ladder_circuit,
 )
 from repro.circuits.netlist import GROUND, Circuit
+from repro import perf
 from repro.circuits.transient import TransientOptions, TransientSolver
 from repro.perf import backends as backends_mod
 from repro.perf.backends import resolve_backend_name, sparse_threshold
@@ -48,9 +49,10 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _run(circuit_factory, probe, backend=None, fast=None, duration=2.5e-9, dt=1e-11):
-    solver = TransientSolver(
-        circuit_factory(), dt, options=TransientOptions(fast=fast, backend=backend)
-    )
+    with perf.use_fastpath(fast):
+        solver = TransientSolver(
+            circuit_factory(), dt, options=TransientOptions(backend=backend)
+        )
     result = solver.run(duration, record_nodes=[probe], record_branches=[])
     return result.voltage(probe), solver.perf_stats
 

@@ -251,6 +251,21 @@ class TestCIPipeline:
         assert "'models'" in step["run"] and "len(entries) == 1" in step["run"]
         assert "warm['waveforms'] == cold['waveforms']" in step["run"]
 
+    def test_quick_tier_runs_oracle_switch_smoke(self, workflow):
+        # The fast-vs-reference suite plus a REPRO_FASTPATH=0 CLI run of
+        # rbf_link: reference mode reported, waveforms within 1e-9 V of
+        # the default (fast) run.
+        test_job = workflow["jobs"]["test"]
+        step = next(
+            step for step in test_job["steps"]
+            if isinstance(step, dict) and '-k "fastpath"' in step.get("run", "")
+        )
+        run = step["run"]
+        assert run.count("python -m repro run examples/jobs/rbf_link.json --quick") == 2
+        assert "REPRO_FASTPATH=0 python -m repro run examples/jobs/rbf_link.json" in run
+        assert "['mode'] == 'reference'" in run
+        assert "diff <= 1e-9" in run
+
     def test_nightly_runs_resilience_fault_matrix(self, workflow):
         # The nightly tier drives the full resilience suite plus CLI-level
         # fault plans: a transient fault that must recover (exit 0) and a

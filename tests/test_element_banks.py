@@ -9,8 +9,8 @@ Pins the contracts of the vectorised element banks
   linear and nonlinear (RBF receiver) cases, with compaction forced on
   and off;
 * the compaction pass groups homogeneous scalar elements without edits to
-  the netlist, honours ``TransientOptions(compact_banks=False)`` and
-  ``REPRO_BANK_COMPACTION=0``, and reports ``banked_elements`` /
+  the netlist, honours ``TransientOptions(compact_banks=False)``, and
+  reports ``banked_elements`` /
   ``accept_calls`` through ``perf_stats``;
 * the per-step accept list is built from the explicit ``needs_accept``
   flag (regression: the old bound-method comparison silently skipped
@@ -46,13 +46,10 @@ from repro.circuits.ladder import (
     rc_grid_circuit,
     rc_ladder_circuit,
 )
+from repro import perf
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.transient import TransientOptions, TransientSolver
-from repro.perf.mna import (
-    FastPathAssembler,
-    bank_compaction_default,
-    compact_elements,
-)
+from repro.perf.mna import FastPathAssembler, compact_elements
 from repro.waveforms.signals import BitPattern
 
 REL_TOL = 1e-12
@@ -69,12 +66,13 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-30)
 
 
-def _run(circuit_factory, probe, backend=None, fast=None, compact=None,
+def _run(circuit_factory, probe, backend=None, fast=None, compact=True,
          duration=1.2e-9, dt=1e-11, record_branches=[]):
-    solver = TransientSolver(
-        circuit_factory(), dt,
-        options=TransientOptions(fast=fast, backend=backend, compact_banks=compact),
-    )
+    with perf.use_fastpath(fast):
+        solver = TransientSolver(
+            circuit_factory(), dt,
+            options=TransientOptions(backend=backend, compact_banks=compact),
+        )
     result = solver.run(duration, record_nodes=[probe] if probe else None,
                         record_branches=record_branches)
     return result, solver.perf_stats
@@ -143,8 +141,11 @@ class TestBankedVsScalarWaveforms:
     def test_integration_methods_match(self, backend):
         builders, probe, _ = FAMILIES["rlc-link"]
         for method in ("trapezoidal", "backward_euler"):
-            opts_ref = TransientOptions(fast=False, method=method)
-            ref = TransientSolver(builders(False)(), 1e-11, opts_ref).run(
+            with perf.use_fastpath(False):
+                ref_solver = TransientSolver(
+                    builders(False)(), 1e-11, TransientOptions(method=method)
+                )
+            ref = ref_solver.run(
                 2.5e-9, record_nodes=[probe], record_branches=[]
             ).voltage(probe)
             opts = TransientOptions(backend=backend, method=method)
@@ -382,15 +383,6 @@ class TestCompactionPass:
         assert stats["compacted_elements"] == 0
         assert stats["banked_elements"] == 0
 
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BANK_COMPACTION", "0")
-        assert bank_compaction_default() is False
-        _, stats = _run(_rc_ladder(False), "n20", backend="dense")
-        assert stats["bank_compaction"] is False
-        assert stats["banked_elements"] == 0
-        monkeypatch.setenv("REPRO_BANK_COMPACTION", "1")
-        assert bank_compaction_default() is True
-
     def test_subclasses_pass_through_uncompacted(self):
         class SenseResistor(Resistor):
             """A subclass with extra behaviour must never be absorbed."""
@@ -527,9 +519,9 @@ class TestNeedsAcceptFlag:
         circuit.add(leaf)
         for fast in (False, True):
             leaf.accepted = 0
-            TransientSolver(
-                circuit, 1e-11, TransientOptions(fast=fast)
-            ).run(1e-10, record_branches=[])
+            with perf.use_fastpath(fast):
+                solver = TransientSolver(circuit, 1e-11)
+            solver.run(1e-10, record_branches=[])
             assert leaf.accepted == 10
 
     def test_stateless_elements_take_no_accept_call(self):

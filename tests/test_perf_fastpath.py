@@ -1,14 +1,17 @@
 """Equivalence suite for the fast-path kernel layer (:mod:`repro.perf`).
 
 Every engine carries a naive reference implementation (selected with
-``fast=False`` / :func:`repro.perf.use_fastpath`) that serves as the
-correctness oracle for the optimised kernels.  These tests assert that the
-fast paths reproduce the reference results to well below 1e-12 relative —
-for the MNA solver, the separable RBF evaluation and both FDTD steppers —
-and that the cached-LU path is actually hit for purely linear circuits.
+``with repro.perf.use_fastpath(False):`` around its construction) that
+serves as the correctness oracle for the optimised kernels.  These tests
+assert that the fast paths reproduce the reference results to well below
+1e-12 relative — for the MNA solver, the separable RBF evaluation and both
+FDTD steppers — and that the cached-LU path is actually hit for purely
+linear circuits.
+The switch itself is pinned last: nesting, ``None`` and thread isolation.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.circuits.diode import Diode
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.rbf_element import MacromodelElement
 from repro.circuits.tline import IdealTransmissionLine
-from repro.circuits.transient import TransientOptions, TransientSolver
+from repro.circuits.transient import TransientSolver
 from repro.core.ports import MacromodelTermination, ResistiveSourceTermination
 from repro.core.resampling import ResampledPortModel
 from repro.fdtd.geometry import add_pec_plate
@@ -77,9 +80,8 @@ def _linear_circuit():
 
 
 def _run_linear(fast):
-    solver = TransientSolver(
-        _linear_circuit(), dt=5e-12, options=TransientOptions(fast=fast)
-    )
+    with perf.use_fastpath(fast):
+        solver = TransientSolver(_linear_circuit(), dt=5e-12)
     result = solver.run(3e-9)
     return solver, result
 
@@ -115,7 +117,8 @@ def test_mna_nonlinear_equivalence(params):
 
     runs = {}
     for fast in (True, False):
-        solver = TransientSolver(build(), dt=10e-12, options=TransientOptions(fast=fast))
+        with perf.use_fastpath(fast):
+            solver = TransientSolver(build(), dt=10e-12)
         runs[fast] = solver.run(4e-9)
     _assert_close(
         runs[True].voltage("out"), runs[False].voltage("out"), "diode clipper"
@@ -128,17 +131,18 @@ def test_mna_macromodel_link_equivalence(params, driver_model, receiver_model):
     stimulus = LogicStimulus.from_pattern("010", 0.8e-9)
 
     def run(fast):
-        ckt = Circuit("rbf-link")
-        ckt.add(
-            MacromodelElement(
-                "drv", "near", GROUND, driver_model.bound(stimulus), 5e-12, fast=fast
+        with perf.use_fastpath(fast):
+            ckt = Circuit("rbf-link")
+            ckt.add(
+                MacromodelElement(
+                    "drv", "near", GROUND, driver_model.bound(stimulus), 5e-12
+                )
             )
-        )
-        ckt.add(
-            IdealTransmissionLine("tl", "near", GROUND, "far", GROUND, 131.0, 0.4e-9)
-        )
-        ckt.add(MacromodelElement("rx", "far", GROUND, receiver_model, 5e-12, fast=fast))
-        solver = TransientSolver(ckt, 5e-12, options=TransientOptions(fast=fast))
+            ckt.add(
+                IdealTransmissionLine("tl", "near", GROUND, "far", GROUND, 131.0, 0.4e-9)
+            )
+            ckt.add(MacromodelElement("rx", "far", GROUND, receiver_model, 5e-12))
+            solver = TransientSolver(ckt, 5e-12)
         return solver.run(2.4e-9, record_nodes=["near", "far"])
 
     fast, ref = run(True), run(False)
@@ -198,8 +202,10 @@ def test_separable_port_evaluation_matches_naive(kind, driver_model, receiver_mo
         else receiver_model
     )
     rng = np.random.default_rng(7)
-    fast_port = ResampledPortModel(model, 10e-12, fast=True)
-    ref_port = ResampledPortModel(model, 10e-12, fast=False)
+    with perf.use_fastpath(True):
+        fast_port = ResampledPortModel(model, 10e-12)
+    with perf.use_fastpath(False):
+        ref_port = ResampledPortModel(model, 10e-12)
     assert fast_port._fast is not None
     assert ref_port._fast is None
     for step in range(60):
@@ -217,7 +223,7 @@ def test_separable_port_evaluation_matches_naive(kind, driver_model, receiver_mo
 
 # -- FDTD fast paths -------------------------------------------------------
 
-def _small_3d_solver(fast, with_wave, receiver_model):
+def _small_3d_solver(with_wave, receiver_model):
     grid = YeeGrid(14, 10, 6, dx=1e-3)
     grid.set_box_epsr((2, 12), (2, 8), (0, 2), 3.5)
     add_pec_plate(grid, "z", 1, (2, 12), (2, 8))
@@ -226,7 +232,7 @@ def _small_3d_solver(fast, with_wave, receiver_model):
         if with_wave
         else None
     )
-    solver = FDTD3DSolver(grid, courant_safety=0.9, fast=fast)
+    solver = FDTD3DSolver(grid, courant_safety=0.9)
     if plane_wave is not None:
         solver.set_plane_wave(plane_wave)
     site_r = LumpedElementSite(
@@ -234,7 +240,7 @@ def _small_3d_solver(fast, with_wave, receiver_model):
     )
     site_m = LumpedElementSite(
         "rx", "z", (9, 6, 2),
-        MacromodelTermination.from_model(receiver_model, 1.5e-12, fast=fast),
+        MacromodelTermination.from_model(receiver_model, 1.5e-12),
     )
     solver.add_lumped_element(site_r)
     solver.add_lumped_element(site_m)
@@ -247,7 +253,7 @@ def test_fdtd3d_fast_equivalence(with_wave, receiver_model):
     results = {}
     for fast in (True, False):
         with perf.use_fastpath(fast):
-            solver, site_r, site_m = _small_3d_solver(fast, with_wave, receiver_model)
+            solver, site_r, site_m = _small_3d_solver(with_wave, receiver_model)
             if not with_wave:
                 # Drive the grid somehow: a Thevenin source on the resistor site.
                 site_r.termination.source = lambda t: np.exp(
@@ -275,18 +281,19 @@ def test_fdtd1d_fast_equivalence(driver_model, receiver_model):
 
     def run(fast):
         dt_model = driver_model.sampling_time
-        line = FDTD1DLine(
-            z0=131.0,
-            delay=0.4e-9,
-            near_termination=MacromodelTermination.from_model(
-                driver_model.bound(stimulus), 0.4e-9 / 40, fast=fast
-            ),
-            far_termination=MacromodelTermination.from_model(
-                receiver_model, 0.4e-9 / 40, fast=fast
-            ),
-            n_cells=40,
-            fast=fast,
-        )
+        with perf.use_fastpath(fast):
+            line = FDTD1DLine(
+                z0=131.0,
+                delay=0.4e-9,
+                near_termination=MacromodelTermination.from_model(
+                    driver_model.bound(stimulus), 0.4e-9 / 40
+                ),
+                far_termination=MacromodelTermination.from_model(
+                    receiver_model, 0.4e-9 / 40
+                ),
+                n_cells=40,
+            )
+        assert line.fast is fast
         assert line.dt <= dt_model
         return line.run(1.6e-9)
 
@@ -343,10 +350,89 @@ def test_identification_disk_cache_roundtrip(
     assert model_cache.model_cache_path(model_cache.model_cache_key(devices)) is None
 
 
-# -- global switch ---------------------------------------------------------
+# -- the switch ------------------------------------------------------------
 
-def test_use_fastpath_context_restores_default():
-    before = perf.fastpath_default()
-    with perf.use_fastpath(not before):
-        assert perf.fastpath_default() is (not before)
-    assert perf.fastpath_default() is before
+def test_solver_wired_parts_take_the_solver_decision():
+    # The Mur boundary is built at the first run, outside the override that
+    # was active when the solver was built: it must follow the solver.
+    grid = YeeGrid(8, 8, 8, dx=1e-3)
+    with perf.use_fastpath(False):
+        solver = FDTD3DSolver(grid, courant_safety=0.9)
+    solver.run(n_steps=2)
+    assert solver.fast is False
+    assert solver.mur.fast is False
+
+
+def test_use_fastpath_context_restores_default(monkeypatch):
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+    assert perf.fastpath_default() is True
+    with perf.use_fastpath(False):
+        assert perf.fastpath_default() is False
+        with perf.use_fastpath(True):
+            assert perf.fastpath_default() is True
+            with perf.use_fastpath(None):
+                # None follows the environment, re-read on every call.
+                assert perf.fastpath_default() is True
+                monkeypatch.setenv("REPRO_FASTPATH", "0")
+                assert perf.fastpath_default() is False
+                monkeypatch.delenv("REPRO_FASTPATH")
+            assert perf.fastpath_default() is True
+        assert perf.fastpath_default() is False
+    assert perf.fastpath_default() is True
+    with pytest.raises(RuntimeError):
+        with perf.use_fastpath(False):
+            raise RuntimeError("restored on the way out")
+    assert perf.fastpath_default() is True
+
+
+def test_use_fastpath_is_scoped_to_the_calling_thread(monkeypatch):
+    """Two overlapping overrides (the daemon's concurrent jobs) stay private.
+
+    A process-global override leaks here: a third thread sees the last
+    writer's value, and the False job exiting before the True job leaves
+    the default stuck at False for every later ``engine.fast: null`` job.
+    """
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+    timeout = 10.0
+    entered = {False: threading.Event(), True: threading.Event()}
+    both_in = threading.Event()
+    released = {False: threading.Event(), True: threading.Event()}
+    seen = {}
+
+    def job(enabled):
+        with perf.use_fastpath(enabled):
+            entered[enabled].set()
+            assert both_in.wait(timeout)
+            seen[enabled] = perf.fastpath_default()
+            assert released[enabled].wait(timeout)
+
+    def read_in_third_thread():
+        out = []
+        reader = threading.Thread(target=lambda: out.append(perf.fastpath_default()))
+        reader.start()
+        reader.join(timeout)
+        assert not reader.is_alive()
+        return out
+
+    workers = {enabled: threading.Thread(target=job, args=(enabled,))
+               for enabled in (False, True)}
+    try:
+        workers[False].start()
+        assert entered[False].wait(timeout)
+        assert read_in_third_thread() == [True]
+        workers[True].start()
+        assert entered[True].wait(timeout)
+        both_in.set()
+        assert read_in_third_thread() == [True]
+        assert perf.fastpath_default() is True
+    finally:
+        both_in.set()
+        # The False job leaves first, then the True job.
+        for enabled in (False, True):
+            released[enabled].set()
+            if workers[enabled].ident is not None:
+                workers[enabled].join(timeout)
+    assert not any(worker.is_alive() for worker in workers.values())
+    assert seen == {False: False, True: True}
+    assert perf.fastpath_default() is True
+    assert read_in_third_thread() == [True]

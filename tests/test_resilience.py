@@ -17,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import cache
+from repro import cache, perf
 from repro.circuits import (
     Capacitor,
     Circuit,
@@ -213,9 +213,8 @@ class TestCircuitStrictPolicy:
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_nan_raises_typed_error(self, fast):
-        solver = TransientSolver(
-            _rc_circuit(), 2e-12, options=TransientOptions(fast=fast)
-        )
+        with perf.use_fastpath(fast):
+            solver = TransientSolver(_rc_circuit(), 2e-12)
         with faults.injected(faults.Fault("nan", step=3)):
             with pytest.raises(NanInfError) as excinfo:
                 solver.run(2e-10)
@@ -274,8 +273,8 @@ class TestCircuitStrictPolicy:
     def test_reference_singular_degrades_with_telemetry(self):
         # The reference dense path recovers a singular solve via lstsq and
         # notes the degradation without failing the run.
-        options = TransientOptions(fast=False)
-        solver = TransientSolver(_rc_circuit(), 2e-12, options=options)
+        with perf.use_fastpath(False):
+            solver = TransientSolver(_rc_circuit(), 2e-12)
         with faults.injected(faults.Fault("singular", step=4)):
             result = solver.run(2e-10)
         assert np.all(np.isfinite(result.voltage("out")))
@@ -420,11 +419,12 @@ class TestLinearSweepFaults:
 
     def test_backend_error_on_reference_path_recovers(self):
         scenarios = _scenarios(3)
-        options = TransientOptions(fast=False)
-        clean = self._sweep(scenarios, options=options).run()
-        sweep = self._sweep(scenarios, options=options)
-        with faults.injected(faults.Fault("backend_error", step=8, scenario="s0")):
-            result = sweep.run()
+        with perf.use_fastpath(False):
+            clean = self._sweep(scenarios).run()
+            sweep = self._sweep(scenarios)
+            with faults.injected(faults.Fault("backend_error", step=8, scenario="s0")):
+                result = sweep.run()
+        assert result.perf_stats["mode"] == "reference"
         assert result.status_of("s0") == "recovered"
         _assert_sweep_matches(result, clean)
         assert result.perf_stats["health"]["failure_counts"][BACKEND_ERROR] == 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits.transient import TransientOptions
+from repro import perf
 from repro.macromodel.library import make_reference_driver_macromodel
 from repro.sweep import (
     Scenario,
@@ -83,12 +83,10 @@ class TestLinearSweep:
         assert np.max(np.abs(nom - weak)) > 1e-3
 
     def test_reference_path_lockstep_matches_sequential(self):
-        options = TransientOptions(fast=False)
-        sweep = linear_link_sweep(
-            _pattern_scenarios(3), dt=2e-11, duration=2e-9, options=options
-        )
-        batched = sweep.run()
-        sequential = sweep.run_sequential()
+        sweep = linear_link_sweep(_pattern_scenarios(3), dt=2e-11, duration=2e-9)
+        with perf.use_fastpath(False):
+            batched = sweep.run()
+            sequential = sweep.run_sequential()
         _assert_sweeps_match(batched, sequential)
         assert batched.perf_stats["mode"] == "reference"
 

@@ -298,9 +298,19 @@ class TestWarmEqualsCold:
 
     def test_sparse_rbf_scalar_elements(self, fresh_cache, monkeypatch,
                                         library_models):
-        monkeypatch.setenv("REPRO_BANK_COMPACTION", "0")
+        # The circuit engine with every run stamping element by element
+        # (compaction off), so the plan holds no bank grouping.
+        from repro.api import engines
+
+        spec_options = engines._transient_options
+        monkeypatch.setattr(
+            engines, "_transient_options",
+            lambda spec: dataclasses.replace(spec_options(spec), compact_banks=False),
+        )
         cold, warm = _cold_then_warm(_ladder_spec(), models=library_models)
         self._assert_warm(cold, warm)
+        assert cold.perf_stats["bank_compaction"] is False
+        assert warm.perf_stats["bank_compaction"] is False
 
     def test_dense_rbf(self, fresh_cache, library_models):
         spec = _ladder_spec(segments=12, sparse_mna=False)
